@@ -20,14 +20,26 @@ Three mechanisms, matching the paper's design space:
 Stream slicing (MMS/WTL, Section 4) wraps the RDMA data path when
 enabled: serialized messages to the same machine are buffered and posted
 as a single work request.
+
+Relaying and local delivery are written as **steps** so that one code
+path serves both kinds of simulated thread: a step is ``(cpu_s,
+action)`` — the thread is busy for ``cpu_s`` (already charged to its
+account), then calls ``action()``, which returns ``None``, an event to
+wait for (a full ring or WR queue), or an iterator of further steps to
+run first (a packet delivered on this machine relays onward).  A
+worker's receive thread runs steps on the simulator's ``_Call`` lane
+(:class:`~repro.dsps.worker.Worker`); an executor's sending thread runs
+them as a process (:func:`run_steps`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -48,11 +60,35 @@ from repro.multicast import (
 from repro.net import cpu as cats
 from repro.net.slicing import StreamSlicer
 from repro.dsps.tuples import AddressedTuple, StreamTuple
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dsps.executor import Executor
     from repro.dsps.system import DspsSystem
     from repro.dsps.worker import Worker
+    from repro.sim.engine import Simulator
+
+#: ``(cpu_s, action)``; see the module docstring.
+Step = Tuple[float, Callable[[], Any]]
+
+
+def run_steps(sim: "Simulator", steps: Iterator[Step]) -> Iterator:
+    """Run steps on the calling process (a generator to ``yield from``)."""
+    stack = [steps]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            continue
+        cpu_s, action = step
+        if cpu_s > 0:
+            yield sim.timeout(cpu_s)
+        more = action()
+        if more is not None:
+            if isinstance(more, Event):
+                yield more
+            else:
+                stack.append(more)
 
 
 # ----------------------------------------------------------------------
@@ -83,11 +119,8 @@ class InstancePacket:
     tuples: List[AddressedTuple]
     deserialize_cpu_s: float  # total for all entries
 
-    def deliver(self, worker: "Worker", charge_deser: bool = True) -> Iterator:
-        if charge_deser:
-            yield from worker.cpu.work(
-                self.deserialize_cpu_s, cats.DESERIALIZATION
-            )
+    def deliver(self, worker: "Worker") -> None:
+        """Dispatch every entry (deserialization is already paid)."""
         for at in self.tuples:
             worker.dispatch_local(at)
 
@@ -102,27 +135,23 @@ class WorkerPacket:
     #: relay coordinates: (service, endpoint id) when part of a multicast.
     relay: Optional[Tuple["MulticastService", Any]] = None
 
-    def deliver(self, worker: "Worker", charge_deser: bool = True) -> Iterator:
-        if charge_deser:
-            yield from worker.cpu.work(
-                self.deserialize_cpu_s, cats.DESERIALIZATION
-            )
+    def deliver(self, worker: "Worker") -> Optional[Iterator[Step]]:
+        """Dispatch locally (deserialization is already paid); returns
+        the relay steps that follow, for a multicast packet."""
         for task_id in self.dst_tasks:
             worker.dispatch_local(AddressedTuple(task_id, self.tuple))
-        if self.relay is not None:
-            service, endpoint = self.relay
-            yield from service.relay_from(worker, endpoint, self.tuple)
+        if self.relay is None:
+            return None
+        service, endpoint = self.relay
+        return service.relay_from(worker, endpoint, self.tuple)
 
 
 @dataclass
 class PacketGroup:
-    """Several packets delivered in one sliced work request."""
+    """Several packets delivered in one sliced work request; the
+    receiver deserializes and delivers them one by one."""
 
     packets: List[Any]
-
-    def deliver(self, worker: "Worker") -> Iterator:
-        for packet in self.packets:
-            yield from packet.deliver(worker)
 
 
 # ----------------------------------------------------------------------
@@ -194,13 +223,6 @@ class MulticastService:
     def endpoints(self) -> List[Any]:
         return list(self._tasks_of_endpoint)
 
-    @property
-    def active_endpoints(self) -> List[Any]:
-        """Endpoints currently wired into the tree (not detached)."""
-        return [
-            ep for ep in self._tasks_of_endpoint if ep not in self._detached
-        ]
-
     def endpoints_on_machine(self, machine_id: int) -> List[Any]:
         return [
             ep
@@ -213,9 +235,6 @@ class MulticastService:
 
     def machine_of(self, endpoint: Any) -> int:
         return self._machine_of_endpoint[endpoint]
-
-    def root_children(self) -> List[Any]:
-        return self.tree.children(SOURCE)
 
     def source_out_degree(self) -> int:
         return self.tree.out_degree(SOURCE)
@@ -232,32 +251,26 @@ class MulticastService:
         comm = self.system.comm
         for child in self.tree.children(SOURCE):
             yield from comm.send_to_endpoint(
-                executor.cpu,
-                self.src_machine,
-                self,
-                child,
-                tup,
-                serialize=True,
+                executor.cpu, self.src_machine, self, child, tup
             )
 
     def relay_from(
         self, worker: "Worker", endpoint: Any, tup: StreamTuple
-    ) -> Iterator:
-        """Relay side: forward already-serialized bytes to children."""
+    ) -> Iterator[Step]:
+        """Relay side: the steps forwarding already-serialized bytes to
+        the children, one send after another on ``worker``'s account."""
         if endpoint not in self.tree:
             # Stale in-flight packet: the endpoint was repaired out of
             # the tree while this message was on the wire.  Local
             # dispatch already happened; nothing left to relay.
             return
         comm = self.system.comm
+        src_machine = self.machine_of(endpoint)
         for child in self.tree.children(endpoint):
-            yield from comm.send_to_endpoint(
-                worker.cpu,
-                self.machine_of(endpoint),
-                self,
-                child,
-                tup,
-                serialize=False,
+            packet, size_bytes = comm.endpoint_packet(self, child, tup)
+            yield comm.transmit_step(
+                worker.cpu, src_machine, self.machine_of(child), packet,
+                size_bytes,
             )
 
     # ------------------------------------------------------------------
@@ -377,18 +390,17 @@ class CommEngine:
         if env.one_to_many and service is not None and not env.selective:
             yield from service.send_from_source(executor, env.tuple)
             return service.source_out_degree()
-        if self.config.worker_oriented:
-            n = yield from self._send_worker_oriented(executor, env)
-        else:
-            n = yield from self._send_instance_oriented(executor, env)
+        n = yield from self._send_direct(executor, env)
         return n
 
     # ------------------------------------------------------------------
-    def _send_instance_oriented(
-        self, executor: "Executor", env: Envelope
-    ) -> Iterator:
+    def _send_direct(self, executor: "Executor", env: Envelope) -> Iterator:
+        """Point-to-point send per destination machine: one message per
+        destination task (instance-oriented), or one BatchTuple carrying
+        the destination task ids (worker-oriented)."""
         placement = self.system.placement
         src_machine = executor.machine_id
+        tup = env.tuple
         by_machine: Dict[int, List[int]] = {}
         for task in env.dst_tasks:
             by_machine.setdefault(placement.machine_of[task], []).append(task)
@@ -401,89 +413,64 @@ class CommEngine:
                 )
                 for task in tasks:
                     self.system.workers[machine].dispatch_local(
-                        AddressedTuple(task, env.tuple)
+                        AddressedTuple(task, tup)
                     )
                 continue
-            # One serialization + one network send *per destination task*.
-            n = len(tasks)
-            msg_bytes = self.ser.instance_message_bytes(env.tuple.payload_bytes)
-            serialize_cpu = n * self.costs.serialize_time(msg_bytes)
+            if self.config.worker_oriented:
+                n = 1
+                msg_bytes = self.ser.batch_message_bytes(
+                    tup.payload_bytes, len(tasks)
+                )
+                serialize_cpu = self.ser.serialize_batch_message(
+                    tup.payload_bytes, len(tasks)
+                )
+                packet = WorkerPacket(
+                    tuple=tup,
+                    dst_tasks=list(tasks),
+                    deserialize_cpu_s=self.costs.deserialize_time(msg_bytes),
+                )
+            else:
+                # One serialization + one network send *per task*.
+                n = len(tasks)
+                one = self.ser.instance_message_bytes(tup.payload_bytes)
+                msg_bytes = n * one
+                serialize_cpu = n * self.costs.serialize_time(one)
+                packet = InstancePacket(
+                    tuples=[AddressedTuple(t, tup) for t in tasks],
+                    deserialize_cpu_s=n * self.costs.deserialize_time(one),
+                )
             yield from executor.cpu.work(serialize_cpu, cats.SERIALIZATION)
-            self._trace_serialize(src_machine, machine, n * msg_bytes, serialize_cpu, n)
-            packet = InstancePacket(
-                tuples=[AddressedTuple(t, env.tuple) for t in tasks],
-                deserialize_cpu_s=n * self.costs.deserialize_time(msg_bytes),
+            self._trace_serialize(
+                src_machine, machine, msg_bytes, serialize_cpu, n
             )
             yield from self._transmit(
-                executor.cpu,
-                src_machine,
-                machine,
-                packet,
-                size_bytes=n * msg_bytes,
-                n_messages=n,
+                executor.cpu, src_machine, machine, packet, msg_bytes, n
             )
             sends += n
         return sends
 
     # ------------------------------------------------------------------
-    def _send_worker_oriented(
-        self, executor: "Executor", env: Envelope
-    ) -> Iterator:
-        placement = self.system.placement
-        src_machine = executor.machine_id
-        by_machine: Dict[int, List[int]] = {}
-        for task in env.dst_tasks:
-            by_machine.setdefault(placement.machine_of[task], []).append(task)
-        sends = 0
-        for machine, tasks in sorted(by_machine.items()):
-            if machine == src_machine:
-                yield from executor.cpu.work(
-                    self.costs.dispatch_cpu_s * len(tasks), cats.DISPATCH
-                )
-                for task in tasks:
-                    self.system.workers[machine].dispatch_local(
-                        AddressedTuple(task, env.tuple)
-                    )
-                continue
-            yield from self._send_batch(
-                executor.cpu, src_machine, machine, env.tuple, tasks,
-                serialize=True, relay=None,
-            )
-            sends += 1
-        return sends
-
-    def _send_batch(
-        self,
-        cpu_account,
-        src_machine: int,
-        dst_machine: int,
-        tup: StreamTuple,
-        tasks: List[int],
-        serialize: bool,
-        relay: Optional[Tuple[MulticastService, Any]],
-    ) -> Iterator:
-        """Serialize (optionally) and transmit one BatchTuple."""
-        msg_bytes = self.ser.batch_message_bytes(tup.payload_bytes, len(tasks))
-        if serialize:
-            serialize_cpu = self.ser.serialize_batch_message(
-                tup.payload_bytes, len(tasks)
-            )
-            yield from cpu_account.work(serialize_cpu, cats.SERIALIZATION)
-            self._trace_serialize(src_machine, dst_machine, msg_bytes, serialize_cpu)
+    # multicast endpoint send (source or relay)
+    # ------------------------------------------------------------------
+    def endpoint_packet(
+        self, service: MulticastService, endpoint: Any, tup: StreamTuple
+    ) -> Tuple[WorkerPacket, int]:
+        """The message one multicast endpoint receives, and its size: a
+        BatchTuple for a worker endpoint, or a single-destination message
+        on an instance-level tree (the RDMC baseline)."""
+        tasks = service.tasks_of(endpoint)
+        if self.config.worker_oriented:
+            msg_bytes = self.ser.batch_message_bytes(tup.payload_bytes, len(tasks))
+        else:
+            msg_bytes = self.ser.instance_message_bytes(tup.payload_bytes)
         packet = WorkerPacket(
             tuple=tup,
             dst_tasks=list(tasks),
             deserialize_cpu_s=self.costs.deserialize_time(msg_bytes),
-            relay=relay,
+            relay=(service, endpoint),
         )
-        yield from self._transmit(
-            cpu_account, src_machine, dst_machine, packet,
-            size_bytes=msg_bytes, n_messages=1,
-        )
+        return packet, msg_bytes
 
-    # ------------------------------------------------------------------
-    # multicast endpoint send (source or relay)
-    # ------------------------------------------------------------------
     def send_to_endpoint(
         self,
         cpu_account,
@@ -491,39 +478,65 @@ class CommEngine:
         service: MulticastService,
         endpoint: Any,
         tup: StreamTuple,
-        serialize: bool,
     ) -> Iterator:
+        """Source side: serialize and send one tree edge (a generator for
+        the sending thread; relays use :meth:`transmit_step`)."""
         dst_machine = service.machine_of(endpoint)
-        tasks = service.tasks_of(endpoint)
+        packet, msg_bytes = self.endpoint_packet(service, endpoint, tup)
         if self.config.worker_oriented:
-            yield from self._send_batch(
-                cpu_account, src_machine, dst_machine, tup, tasks,
-                serialize=serialize, relay=(service, endpoint),
+            serialize_cpu = self.ser.serialize_batch_message(
+                tup.payload_bytes, len(packet.dst_tasks)
             )
         else:
-            # Instance-level tree (RDMC baseline): single-destination
-            # message; serialization per message when not relaying.
-            msg_bytes = self.ser.instance_message_bytes(tup.payload_bytes)
-            if serialize:
-                serialize_cpu = self.costs.serialize_time(msg_bytes)
-                yield from cpu_account.work(serialize_cpu, cats.SERIALIZATION)
-                self._trace_serialize(
-                    src_machine, dst_machine, msg_bytes, serialize_cpu
-                )
-            packet = WorkerPacket(
-                tuple=tup,
-                dst_tasks=list(tasks),
-                deserialize_cpu_s=self.costs.deserialize_time(msg_bytes),
-                relay=(service, endpoint),
-            )
-            yield from self._transmit(
-                cpu_account, src_machine, dst_machine, packet,
-                size_bytes=msg_bytes, n_messages=1,
-            )
+            serialize_cpu = self.costs.serialize_time(msg_bytes)
+        yield from cpu_account.work(serialize_cpu, cats.SERIALIZATION)
+        self._trace_serialize(src_machine, dst_machine, msg_bytes, serialize_cpu)
+        yield from self._transmit(
+            cpu_account, src_machine, dst_machine, packet,
+            size_bytes=msg_bytes, n_messages=1,
+        )
 
     # ------------------------------------------------------------------
     # transport shim (+ optional slicing)
     # ------------------------------------------------------------------
+    def transmit_step(
+        self,
+        cpu_account,
+        src_machine: int,
+        dst_machine: int,
+        packet: Any,
+        size_bytes: int,
+        n_messages: int = 1,
+    ) -> Step:
+        """One send of ``packet`` as a step on the caller's thread."""
+        if src_machine == dst_machine:
+            # Same machine: no network; the calling thread deserializes
+            # and dispatches, then relays onward.
+            worker = self.system.workers[dst_machine]
+            deser = packet.deserialize_cpu_s
+            worker.cpu.charge(deser, cats.DESERIALIZATION)
+            return deser, partial(packet.deliver, worker)
+        if self.config.slicing and self.config.transport == "rdma":
+            return 0.0, partial(
+                self._slice, cpu_account, src_machine, dst_machine, packet,
+                size_bytes,
+            )
+        transport = self.system.transport
+        cpu_s, post = transport.begin(
+            src_machine, dst_machine, packet, size_bytes, cpu_account
+        )
+        if n_messages > 1:
+            # The per-message send path runs once per coalesced message.
+            if self.config.transport == "tcp":
+                extra, category = self.costs.tcp_send_cpu_s, cats.NETWORK
+            else:
+                extra = transport.profile(transport.data_verb).sender_cpu_s
+                category = cats.RDMA_POST
+            extra *= n_messages - 1
+            cpu_account.charge(extra, category)
+            cpu_s += extra
+        return cpu_s, post
+
     def _transmit(
         self,
         cpu_account,
@@ -533,31 +546,11 @@ class CommEngine:
         size_bytes: int,
         n_messages: int,
     ) -> Iterator:
-        if src_machine == dst_machine:
-            # Same machine: hand straight to the local worker.
-            worker = self.system.workers[dst_machine]
-            yield from packet.deliver(worker)
-            return
-        transport = self.system.transport
-        if self.config.slicing and self.config.transport == "rdma":
-            self._slice(cpu_account, src_machine, dst_machine, packet, size_bytes)
-            return
-        if self.config.transport == "tcp":
-            # The kernel path runs once per message even when coalesced.
-            yield from cpu_account.work(
-                self.costs.tcp_send_cpu_s * (n_messages - 1), cats.NETWORK
-            )
-            yield from transport.send(
-                src_machine, dst_machine, packet, size_bytes, cpu_account
-            )
-        else:
-            prof = transport.profile(transport.data_verb)
-            yield from cpu_account.work(
-                prof.sender_cpu_s * (n_messages - 1), cats.RDMA_POST
-            )
-            yield from transport.send(
-                src_machine, dst_machine, packet, size_bytes, cpu_account
-            )
+        step = self.transmit_step(
+            cpu_account, src_machine, dst_machine, packet, size_bytes,
+            n_messages,
+        )
+        yield from run_steps(self.system.sim, iter((step,)))
 
     def _slice(
         self, cpu_account, src_machine: int, dst_machine: int,
@@ -579,19 +572,14 @@ class CommEngine:
 
     def _flush(self, key: Tuple[int, int], items: List[Any], nbytes: int) -> None:
         src_machine, dst_machine = key
-        transport = self.system.transport
-        packets = [p for p, _ in items]
         # Charge the post cost to the account of the last contributor
-        # (whoever's add() triggered the flush, or the timer's victim).
-        cpu_account = items[-1][1]
-        group = PacketGroup(packets)
-
-        def _post(sim):
-            yield from transport.send(
-                src_machine, dst_machine, group, nbytes, cpu_account
-            )
-
-        self.system.sim.process(_post(self.system.sim))
+        # (whoever's add() triggered the flush, or the timer's victim);
+        # nobody waits for the post.
+        cpu_s, post = self.system.transport.begin(
+            src_machine, dst_machine, PacketGroup([p for p, _ in items]),
+            nbytes, items[-1][1],
+        )
+        self.system.sim.schedule_call(cpu_s, post)
 
     def flush_all_slicers(self) -> None:
         """Flush pending slices (end of run)."""

@@ -285,8 +285,9 @@ class BoltExecutor(ExecutorBase):
       the bolt executes and emits — downstream timing is unchanged, but
       the hand-off event and both generator resumes are gone;
     * ``"lazy"`` mode (terminal sinks with no downstream): no per-tuple
-      events at all — completed work is *flushed* on the next accept, on
-      one re-armed drain timer per busy period, and at measurement-window
+      events at all — completed work is *flushed* on the next accept,
+      when ``processed`` is read, on the metrics hub's one shared drain
+      timer (:meth:`MetricsHub.hold_until`), and at measurement-window
       boundaries (:meth:`MetricsHub.flush`), with metrics taking the
       computed completion instants.
 
@@ -301,7 +302,7 @@ class BoltExecutor(ExecutorBase):
         self.inqueue: Store = Store(
             self.sim, capacity=system.config.executor_queue_capacity
         )
-        self.processed = 0
+        self._processed = 0
         #: high-water mark of the queued (not in-service) input depth,
         #: maintained on every accept so overload experiments can measure
         #: queue growth with or without the flow layer
@@ -313,7 +314,13 @@ class BoltExecutor(ExecutorBase):
         #: may be in service, everything behind it is queued.
         self._fifo: Deque[list] = deque()
         self._busy_until = self.sim.now
-        self._timer_armed = False
+
+    @property
+    def processed(self) -> int:
+        """Executions so far (realizing lazily-batched ones due by now)."""
+        if self._mode == "lazy":
+            self._flush_completed()
+        return self._processed
 
     def halt(self) -> None:
         super().halt()
@@ -407,8 +414,8 @@ class BoltExecutor(ExecutorBase):
             self.inqueue_hwm = len(fifo) - 1
         if mode == "timed":
             sim.schedule_call(done - now, lambda: self._complete_timed(entry))
-        elif not self._timer_armed:
-            self._arm_timer(done)
+        else:
+            self.system.metrics.hold_until(done, self._flush_completed)
         return True
 
     # ------------------------------------------------------------------
@@ -427,25 +434,13 @@ class BoltExecutor(ExecutorBase):
             return  # crash landed mid-service: no output, no ack
         metrics = self.system.metrics
         self.bolt.execute(tup, self.collector)
-        self.processed += 1
+        self._processed += 1
         metrics.on_processed(self.operator)
         metrics.completion.on_executed(tup.tuple_id, self.task_id)
         if self.spec.terminal:
             metrics.on_sink_latency(
                 self.operator, self.sim.now - tup.created_at
             )
-
-    def _arm_timer(self, at: float) -> None:
-        """Keep one drain timer alive per busy period, so the event queue
-        never runs dry while lazy-mode work is logically pending."""
-        self._timer_armed = True
-        self.sim.schedule_call(at - self.sim.now, self._on_timer)
-
-    def _on_timer(self) -> None:
-        self._timer_armed = False
-        self._flush_completed()
-        if self._fifo and not self._timer_armed:
-            self._arm_timer(self._busy_until)
 
     def _flush_completed(self) -> None:
         fifo = self._fifo
@@ -468,7 +463,7 @@ class BoltExecutor(ExecutorBase):
             if service > 0:
                 cpu.charge(service, cats.PROCESSING)
             bolt.execute(tup, collector)
-            self.processed += 1
+            self._processed += 1
             metrics.on_processed_at(operator, done)
             completion.on_executed(tup.tuple_id, task_id, at=done)
             metrics.on_sink_latency_at(operator, done - tup.created_at, at=done)
@@ -495,7 +490,7 @@ class BoltExecutor(ExecutorBase):
             if self.halted:
                 continue  # crash landed mid-service: no output, no ack
             self.bolt.execute(tup, self.collector)
-            self.processed += 1
+            self._processed += 1
             metrics.on_processed(self.operator)
             metrics.completion.on_executed(tup.tuple_id, self.task_id)
             if reliability is not None:

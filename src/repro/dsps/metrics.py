@@ -232,6 +232,11 @@ class MetricsHub:
         #: boundaries and end-of-run reporting see every completion that
         #: is logically due.
         self._flush_hooks: List[Callable[[], None]] = []
+        #: flush hook -> latest instant its lazily-batched work is due,
+        #: for the hooks with work pending (:meth:`hold_until`)
+        self._held: Dict[Callable[[], None], float] = {}
+        self._hold_until = -math.inf
+        self._hold_armed = False
 
     # ------------------------------------------------------------------
     # measurement window
@@ -250,6 +255,31 @@ class MetricsHub:
         """Realize every batched completion due at or before ``sim.now``."""
         for hook in self._flush_hooks:
             hook()
+
+    def hold_until(self, t: float, hook: Callable[[], None]) -> None:
+        """``hook``'s lazily-batched work is due by ``t``: keep a drain
+        timer alive until then, so the event queue never runs dry while
+        that work is logically pending.  One timer serves every executor:
+        it runs the hooks with work pending when it fires and re-arms at
+        the latest instant held since."""
+        self._held[hook] = t
+        if t > self._hold_until:
+            self._hold_until = t
+            if not self._hold_armed:
+                self._hold_armed = True
+                self.sim.schedule_call(t - self.sim.now, self._on_hold)
+
+    def _on_hold(self) -> None:
+        now = self.sim.now
+        held = self._held
+        for hook, due in list(held.items()):
+            hook()
+            if due <= now:
+                del held[hook]
+        if self._hold_until > now:
+            self.sim.schedule_call(self._hold_until - now, self._on_hold)
+        else:
+            self._hold_armed = False
 
     def close_window(self) -> None:
         if self._window is None:

@@ -324,12 +324,10 @@ class DspsSystem:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Launch every worker and executor process."""
+        """Launch every executor process (workers serve on delivery)."""
         if self._started:
             raise RuntimeError("system already started")
         self._started = True
-        for worker in self.workers.values():
-            worker.start()
         for ex in self.executors.values():
             ex.start()
         if self.reliability is not None:

@@ -14,7 +14,7 @@ the evaluation's receivers are many and lightly loaded.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional  # noqa: F401
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
 
 from repro.net.cluster import Cluster
 from repro.net.message import WireMessage
@@ -24,66 +24,109 @@ if TYPE_CHECKING:  # pragma: no cover
 
 Receiver = Callable[[WireMessage], None]
 
-# FIFO entry of an arithmetic link server: [start, done, msg, live].
-# ``live`` goes False when the entry is cancelled (crash drop); its
-# completion timeout then fires into a no-op.
-_START, _DONE, _MSG, _LIVE = 0, 1, 2, 3
+# FIFO entry of the tandem link server: [enter, start, done, msg, live].
+# ``enter`` is when the message reaches the port (later than the booking
+# instant while an RNIC is still DMA-ing it); ``live`` goes False when the
+# entry is cancelled (crash drop, re-queue); its call then fires into a
+# no-op.
+_ENTER, _START, _DONE, _MSG, _LIVE = 0, 1, 2, 3, 4
 
 
 class NicPort:
     """One machine's egress port on a fabric (FIFO at link bandwidth).
 
-    The port is an *arithmetic* FIFO server: because transmission times
-    are a pure function of message size, each message's start/done
-    instants are computed at enqueue (``start = max(now, busy_until)``)
-    and exactly one completion timeout is scheduled — there is no drain
-    process and no per-message queue hand-off event.  The head entry with
-    ``start <= now`` is in transmission; like the old drain loop's
-    in-flight message it completes and propagates even if the machine
-    crashes mid-transmission (the sender NIC had already committed the
-    wire time).
+    The port is an *arithmetic* FIFO server: transmission times are a pure
+    function of message size, so each message's start/done instants are
+    computed when it is booked (``start = max(enter, busy_until)``) and
+    exactly one call is scheduled per message, at its arrival instant
+    ``done + latency``: egress and propagation are one hop.  (On an
+    oversubscribed core a cross-rack message's call fires at ``done``
+    instead and hands it to the rack uplink.)  An RNIC books its work
+    request when it admits it, with ``enter`` at the end of its DMA, so
+    the RNIC, the NIC and the wire together cost one call per message; a
+    message sent straight to the port (TCP, the RDMA fallback) while
+    booked messages are still in DMA re-queues them behind it, as the
+    NIC would have seen them arrive.
+
+    The entry with ``start <= now < done`` is in transmission; it completes
+    and propagates even if the machine crashes mid-transmission (the
+    sender NIC had already committed the wire time).
     """
 
     def __init__(self, sim: "Simulator", fabric: "Fabric", machine_id: int):
         self.sim = sim
         self.fabric = fabric
         self.machine_id = machine_id
+        #: booked entries whose transmission has not ended, FIFO
         self._fifo: Deque[list] = deque()
         self._busy_until = sim.now
         self.bytes_sent = 0
         self.messages_sent = 0
         self._paused = False
 
-    def enqueue(self, msg: WireMessage) -> None:
-        """Hand a message to the NIC (non-blocking for the caller)."""
+    def enqueue(self, msg: WireMessage, delay: float = 0.0) -> None:
+        """Book a message that reaches the NIC ``delay`` seconds from now
+        (non-blocking for the caller)."""
         sim = self.sim
         now = sim.now
-        msg.sent_at = now
         if self._paused:
+            if delay > 0:
+                # Still in the RNIC: the NIC decides when it gets there.
+                sim.schedule_call(delay, lambda: self.enqueue(msg))
+                return
             # Crashed: the NIC eats anything handed to it.
+            msg.sent_at = now
             self.fabric._drop_dead(msg, "crash_egress")
             return
-        start = self._busy_until
-        if start < now:
-            start = now
-        done = start + msg.size_bytes * 8.0 / self.fabric.bandwidth_bps
-        self._busy_until = done
-        entry = [start, done, msg, True]
-        self._fifo.append(entry)
-        sim.schedule_call(done - now, lambda: self._complete(entry))
+        enter = now + delay
+        fifo = self._fifo
+        while fifo and fifo[0][_DONE] <= now:
+            fifo.popleft()
+        if fifo and fifo[-1][_ENTER] > enter:
+            # Booked messages still in DMA reach the NIC after this one.
+            later = []
+            while fifo and fifo[-1][_ENTER] > enter:
+                entry = fifo.pop()
+                entry[_LIVE] = False
+                later.append(entry)
+            self._busy_until = fifo[-1][_DONE] if fifo else now
+            self._book(msg, enter)
+            for entry in reversed(later):
+                self._book(entry[_MSG], entry[_ENTER])
+            return
+        self._book(msg, enter)
 
-    @property
-    def backlog(self) -> int:
-        """Messages queued behind the one in transmission."""
-        n = len(self._fifo)
-        return n - 1 if n else 0
+    def _book(self, msg: WireMessage, enter: float) -> None:
+        sim = self.sim
+        fabric = self.fabric
+        msg.sent_at = enter
+        start = self._busy_until
+        if start < enter:
+            start = enter
+        done = start + msg.size_bytes * 8.0 / fabric.bandwidth_bps
+        self._busy_until = done
+        entry = [enter, start, done, msg, True]
+        self._fifo.append(entry)
+        src, dst = msg.src_machine, msg.dst_machine
+        if fabric.uplinks and fabric.cluster.rack_hops(src, dst):
+            sim.schedule_call(done - sim.now, lambda: self._transmitted(entry))
+        else:
+            sim.schedule_call(
+                done + fabric.latency(src, dst) - sim.now,
+                lambda: self._arrived(entry),
+            )
 
     def pause(self) -> list:
         """Crash: drop the queued backlog (returned); the in-transmission
-        head, if any, still completes ("the wire already has it")."""
+        head, if any, still completes ("the wire already has it").
+        Messages still in RNIC DMA never reached the NIC: they are taken
+        back from the fabric, and the RNIC reset re-sends the one whose
+        DMA had started."""
         self._paused = True
         now = self.sim.now
         fifo = self._fifo
+        while fifo and fifo[0][_DONE] <= now:
+            fifo.popleft()
         zombie = None
         if fifo and fifo[0][_START] <= now:
             zombie = fifo.popleft()
@@ -91,7 +134,10 @@ class NicPort:
         while fifo:
             entry = fifo.popleft()
             entry[_LIVE] = False
-            dropped.append(entry[_MSG])
+            if entry[_ENTER] <= now:
+                dropped.append(entry[_MSG])
+            else:
+                self.fabric.messages_injected -= 1
         if zombie is not None:
             fifo.append(zombie)
             self._busy_until = zombie[_DONE]
@@ -99,26 +145,30 @@ class NicPort:
             self._busy_until = now
         return dropped
 
-    def resume(self) -> list:
+    def resume(self) -> None:
         """Recover.  Messages enqueued during the outage were already
         dropped dead at enqueue, so there is never a stale backlog."""
         self._paused = False
-        return []
 
     @property
     def paused(self) -> bool:
         return self._paused
 
-    def _complete(self, entry: list) -> None:
+    def _sent(self, entry: list) -> bool:
         if not entry[_LIVE]:
-            return
-        # Completions fire in FIFO order and cancelled entries left the
-        # deque at pause time, so a live completion is always the head.
-        self._fifo.popleft()
+            return False
         msg = entry[_MSG]
         self.bytes_sent += msg.size_bytes
         self.messages_sent += 1
-        self.fabric._propagate(msg)
+        return True
+
+    def _arrived(self, entry: list) -> None:
+        if self._sent(entry):
+            self.fabric._arrive(entry[_MSG])
+
+    def _transmitted(self, entry: list) -> None:
+        if self._sent(entry):
+            self.fabric._to_uplink(entry[_MSG])
 
 
 class _RackUplink:
@@ -134,7 +184,6 @@ class _RackUplink:
         self.rack = rack
         self.bandwidth_bps = bandwidth_bps
         self._busy_until = sim.now
-        self._queued = 0
         self.bytes_sent = 0
 
     def enqueue(self, msg: WireMessage) -> None:
@@ -145,17 +194,12 @@ class _RackUplink:
             start = now
         done = start + msg.size_bytes * 8.0 / self.bandwidth_bps
         self._busy_until = done
-        self._queued += 1
-        sim.schedule_call(done - now, lambda: self._complete(msg))
+        latency = self.fabric.latency(msg.src_machine, msg.dst_machine)
+        sim.schedule_call(done + latency - now, lambda: self._arrived(msg))
 
-    @property
-    def backlog(self) -> int:
-        return self._queued - 1 if self._queued else 0
-
-    def _complete(self, msg: WireMessage) -> None:
-        self._queued -= 1
+    def _arrived(self, msg: WireMessage) -> None:
         self.bytes_sent += msg.size_bytes
-        self.fabric._schedule_delivery(msg)
+        self.fabric._deliver(msg)
 
 
 class Fabric:
@@ -232,16 +276,17 @@ class Fabric:
             )
         self._receivers[machine_id] = receiver
 
-    def send(self, msg: WireMessage) -> None:
-        """Inject ``msg`` at its source machine's egress port."""
+    def send(self, msg: WireMessage, delay: float = 0.0) -> None:
+        """Inject ``msg`` at its source machine's egress port, which it
+        reaches ``delay`` seconds from now (an RNIC's DMA time)."""
         self.messages_injected += 1
         if msg.src_machine == msg.dst_machine:
             # Loopback: no NIC, no wire; deliver at the current instant.
-            # Delivery is synchronous (receivers only enqueue/schedule, so
-            # re-entrancy is safe) — no trip through the event queue.
+            # Delivery is synchronous (receivers only queue or schedule,
+            # so re-entrancy is safe) — no trip through the event queue.
             self._deliver(msg)
             return
-        self.ports[msg.src_machine].enqueue(msg)
+        self.ports[msg.src_machine].enqueue(msg, delay)
 
     def latency(self, src: int, dst: int) -> float:
         """One-way propagation latency between two machines."""
@@ -267,8 +312,7 @@ class Fabric:
                 self._drop_dead(msg, "crash_egress")
         else:
             self._machine_down.discard(machine_id)
-            for msg in port.resume():
-                self._drop_dead(msg, "crash_egress")
+            port.resume()
 
     def link_is_up(self, a: int, b: int) -> bool:
         return frozenset((a, b)) not in self._links_down
@@ -304,7 +348,9 @@ class Fabric:
             msg.on_delivered = None
 
     # ------------------------------------------------------------------
-    def _propagate(self, msg: WireMessage) -> None:
+    def _survives(self, msg: WireMessage) -> bool:
+        """Apply in-flight loss and link state; False when the message
+        is gone (counted lost or dead)."""
         if self._loss_rng is not None and (
             self._loss_rng.random() < self.loss_probability
         ):
@@ -327,23 +373,25 @@ class Fabric:
                 # buffer was consumed regardless of delivery.
                 msg.on_delivered(msg)
                 msg.on_delivered = None
-            return
-        if frozenset((msg.src_machine, msg.dst_machine)) in self._links_down:
+            return False
+        if self._links_down and (
+            frozenset((msg.src_machine, msg.dst_machine)) in self._links_down
+        ):
             # Link flap: the message falls off a dead link.
             self._drop_dead(msg, "link_down")
-            return
-        # Oversubscribed core: cross-rack traffic transits the source
-        # rack's uplink before propagating.
-        if self.uplinks and self.cluster.rack_hops(
-            msg.src_machine, msg.dst_machine
-        ):
-            self.uplinks[self.cluster[msg.src_machine].rack].enqueue(msg)
-            return
-        self._schedule_delivery(msg)
+            return False
+        return True
 
-    def _schedule_delivery(self, msg: WireMessage) -> None:
-        delay = self.latency(msg.src_machine, msg.dst_machine)
-        self.sim.schedule_call(delay, lambda: self._deliver(msg))
+    def _arrive(self, msg: WireMessage) -> None:
+        """The end of a NIC-to-NIC hop (egress + propagation)."""
+        if self._survives(msg):
+            self._deliver(msg)
+
+    def _to_uplink(self, msg: WireMessage) -> None:
+        """Oversubscribed core: cross-rack traffic transits the source
+        rack's uplink after leaving the NIC, before propagating."""
+        if self._survives(msg):
+            self.uplinks[self.cluster[msg.src_machine].rack].enqueue(msg)
 
     def _deliver(self, msg: WireMessage) -> None:
         if msg.dst_machine in self._machine_down:

@@ -18,15 +18,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Any, Dict, Iterator, Optional, Tuple
 
 from repro.net import cpu as cpu_categories
 from repro.net.costs import CostModel
 from repro.net.cpu import CpuAccount
 from repro.net.fabric import Fabric
-from repro.net.message import WireMessage
+from repro.net.message import Post, Transport
 from repro.net.rnic import Rnic, WorkRequest
-from repro.sim.resources import Store
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -71,7 +72,7 @@ class VerbProfile:
         raise ValueError(f"unknown verb {verb!r}")
 
 
-class RdmaTransport:
+class RdmaTransport(Transport):
     """Machine-to-machine RDMA with selectable verbs.
 
     Parameters
@@ -97,9 +98,7 @@ class RdmaTransport:
         use_ring: bool = True,
         ring_capacity_bytes: int = 8 * 1024 * 1024,
     ):
-        self.sim = sim
-        self.fabric = fabric
-        self.costs = costs
+        super().__init__(sim, fabric, costs)
         self.data_verb = data_verb
         self.control_verb = control_verb
         self.use_ring = use_ring
@@ -113,7 +112,6 @@ class RdmaTransport:
             )
             for m in fabric.cluster
         }
-        self._inboxes: Dict[int, Store] = {}
         self._profiles: Dict[Verb, VerbProfile] = {
             v: VerbProfile.from_costs(costs, v) for v in Verb
         }
@@ -147,14 +145,42 @@ class RdmaTransport:
         """Reset the crashed machine's RNIC (WR queue + ring)."""
         self.rnics[machine_id].reset()
 
-    def bind_inbox(self, machine_id: int) -> Store:
-        """Create (once) and return the delivery inbox for a machine."""
-        inbox = self._inboxes.get(machine_id)
-        if inbox is None:
-            inbox = Store(self.sim)
-            self._inboxes[machine_id] = inbox
-            self.fabric.bind(machine_id, inbox.try_put)
-        return inbox
+    def begin(
+        self,
+        src_machine: int,
+        dst_machine: int,
+        payload: Any,
+        size_bytes: int,
+        cpu: CpuAccount,
+        kind: str = "data",
+        verb: Optional[Verb] = None,
+    ) -> Tuple[float, Post]:
+        """Start one send: the verb's sender CPU, then ``post()`` takes a
+        ring region and posts a WR.
+
+        Applies ring-memory-region backpressure: if the ring (or the WR
+        queue) is full, ``post()`` returns an event and the caller's
+        thread waits for it — the RDMA analogue of a full transfer queue.
+        A suspected peer is reached over the kernel TCP path instead.
+        """
+        if verb is None:
+            verb = self.data_verb if kind == "data" else self.control_verb
+        if (
+            src_machine != dst_machine
+            and (dst_machine in self._degraded or src_machine in self._degraded)
+        ):
+            cpu_s = self.costs.tcp_send_cpu_s
+            cpu.charge(cpu_s, cpu_categories.NETWORK)
+            return cpu_s, partial(
+                self._post_kernel, src_machine, dst_machine, payload,
+                size_bytes, kind, "tcp-fallback",
+            )
+        prof = self._profiles[verb]
+        cpu.charge(prof.sender_cpu_s, cpu_categories.RDMA_POST)
+        return prof.sender_cpu_s, partial(
+            self._post, src_machine, dst_machine, payload, size_bytes, kind,
+            verb, prof.receiver_cpu_s,
+        )
 
     def send(
         self,
@@ -166,87 +192,40 @@ class RdmaTransport:
         kind: str = "data",
         verb: Optional[Verb] = None,
     ) -> Iterator:
-        """Send one message (generator; charges sender CPU, posts a WR).
+        """Send one message from a process (generator; see :meth:`begin`)."""
+        return self._send(
+            *self.begin(
+                src_machine, dst_machine, payload, size_bytes, cpu, kind, verb
+            )
+        )
 
-        Applies ring-memory-region backpressure: if the ring is full, the
-        caller blocks until a region is recycled — the RDMA analogue of a
-        full transfer queue.
-        """
-        if verb is None:
-            verb = self.data_verb if kind == "data" else self.control_verb
-        if (
-            src_machine != dst_machine
-            and (dst_machine in self._degraded or src_machine in self._degraded)
-        ):
-            msg = yield from self._send_degraded(
-                src_machine, dst_machine, payload, size_bytes, cpu, kind
-            )
-            return msg
-        prof = self._profiles[verb]
-        yield from cpu.work(prof.sender_cpu_s, cpu_categories.RDMA_POST)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.emit(
-                "net.post",
-                self.sim.now,
-                transport=self.name,
-                verb=verb.value,
-                src=src_machine,
-                dst=dst_machine,
-                msg_kind=kind,
-                bytes=size_bytes,
-            )
-        msg = WireMessage(
-            payload=payload,
-            size_bytes=size_bytes,
-            src_machine=src_machine,
-            dst_machine=dst_machine,
-            kind=kind,
-            recv_cpu_s=prof.receiver_cpu_s,
+    def _post(
+        self, src_machine: int, dst_machine: int, payload: Any,
+        size_bytes: int, kind: str, verb: Verb, recv_cpu_s: float,
+    ) -> Optional[Event]:
+        msg = self._message(
+            src_machine, dst_machine, payload, size_bytes, kind, recv_cpu_s,
+            verb.value,
         )
         if src_machine == dst_machine:
             # Loopback bypasses the RNIC entirely.
             self.fabric.send(msg)
-            return msg
+            return None
         rnic = self.rnics[src_machine]
-        ring_bytes = 0
-        if self.use_ring and size_bytes > 0:
-            yield rnic.ring.alloc(size_bytes)
-            ring_bytes = size_bytes
-        yield rnic.post(WorkRequest(msg, ring_bytes=ring_bytes))
-        return msg
+        if not (self.use_ring and size_bytes > 0):
+            return rnic.post(WorkRequest(msg))
+        granted = rnic.ring.alloc(size_bytes)
+        if granted.callbacks is None:
+            return rnic.post(WorkRequest(msg, ring_bytes=size_bytes))
+        # Ring full: post the WR once a region is recycled.
+        done = Event(self.sim)
 
-    def _send_degraded(
-        self,
-        src_machine: int,
-        dst_machine: int,
-        payload: Any,
-        size_bytes: int,
-        cpu: CpuAccount,
-        kind: str,
-    ) -> Iterator:
-        """TCP fallback path for suspected peers: kernel-stack CPU on
-        both sides, straight onto the wire (no ring, no RNIC queue)."""
-        yield from cpu.work(self.costs.tcp_send_cpu_s, cpu_categories.NETWORK)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.emit(
-                "net.post",
-                self.sim.now,
-                transport=self.name,
-                verb="tcp-fallback",
-                src=src_machine,
-                dst=dst_machine,
-                msg_kind=kind,
-                bytes=size_bytes,
-            )
-        msg = WireMessage(
-            payload=payload,
-            size_bytes=size_bytes,
-            src_machine=src_machine,
-            dst_machine=dst_machine,
-            kind=kind,
-            recv_cpu_s=self.costs.tcp_recv_cpu_s,
-        )
-        self.fabric.send(msg)
-        return msg
+        def _post_wr(_ev) -> None:
+            admitted = rnic.post(WorkRequest(msg, ring_bytes=size_bytes))
+            if admitted is None:
+                done.succeed()
+            else:
+                admitted.callbacks.append(lambda _e: done.succeed())
+
+        granted.callbacks.append(_post_wr)
+        return done

@@ -8,29 +8,26 @@ dominates the upstream instance in the paper's Fig. 2d.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterator
+from functools import partial
+from typing import TYPE_CHECKING, Any, Iterator, Tuple
 
 from repro.net import cpu as cpu_categories
 from repro.net.costs import CostModel
 from repro.net.cpu import CpuAccount
 from repro.net.fabric import Fabric
-from repro.net.message import WireMessage
-from repro.sim.resources import Store
+from repro.net.message import Post, Transport
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
 
-class TcpTransport:
+class TcpTransport(Transport):
     """Instance-level transport API over a TCP/Ethernet fabric."""
 
     name = "tcp"
 
     def __init__(self, sim: "Simulator", fabric: Fabric, costs: CostModel):
-        self.sim = sim
-        self.fabric = fabric
-        self.costs = costs
-        self._inboxes: Dict[int, Store] = {}
+        super().__init__(sim, fabric, costs)
 
     # ------------------------------------------------------------------
     # fault-handling API parity with RdmaTransport
@@ -46,14 +43,24 @@ class TcpTransport:
         """No per-machine sender state to reset on the TCP transport."""
 
     # ------------------------------------------------------------------
-    def bind_inbox(self, machine_id: int) -> Store:
-        """Create (once) and return the delivery inbox for a machine."""
-        inbox = self._inboxes.get(machine_id)
-        if inbox is None:
-            inbox = Store(self.sim)
-            self._inboxes[machine_id] = inbox
-            self.fabric.bind(machine_id, inbox.try_put)
-        return inbox
+    def begin(
+        self,
+        src_machine: int,
+        dst_machine: int,
+        payload: Any,
+        size_bytes: int,
+        cpu: CpuAccount,
+        kind: str = "data",
+    ) -> Tuple[float, Post]:
+        """The kernel send path: the caller's thread is busy for it, then
+        the message goes on the wire and the transfer proceeds
+        asynchronously."""
+        cpu_s = self.costs.tcp_send_cpu_s
+        cpu.charge(cpu_s, cpu_categories.NETWORK)
+        return cpu_s, partial(
+            self._post_kernel, src_machine, dst_machine, payload, size_bytes,
+            kind,
+        )
 
     def send(
         self,
@@ -64,31 +71,8 @@ class TcpTransport:
         cpu: CpuAccount,
         kind: str = "data",
     ) -> Iterator:
-        """Send one message (generator; charges sender CPU, then returns).
-
-        The caller's thread blocks only for the kernel send path; the wire
-        transfer proceeds asynchronously.  Returns the
-        :class:`WireMessage` placed on the wire.
-        """
-        yield from cpu.work(self.costs.tcp_send_cpu_s, cpu_categories.NETWORK)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.emit(
-                "net.post",
-                self.sim.now,
-                transport=self.name,
-                src=src_machine,
-                dst=dst_machine,
-                msg_kind=kind,
-                bytes=size_bytes,
-            )
-        msg = WireMessage(
-            payload=payload,
-            size_bytes=size_bytes,
-            src_machine=src_machine,
-            dst_machine=dst_machine,
-            kind=kind,
-            recv_cpu_s=self.costs.tcp_recv_cpu_s,
+        """Send one message from a process (generator): the caller's
+        thread blocks only for the kernel send path."""
+        return self._send(
+            *self.begin(src_machine, dst_machine, payload, size_bytes, cpu, kind)
         )
-        self.fabric.send(msg)
-        return msg

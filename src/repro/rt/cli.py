@@ -152,14 +152,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
 
     recorder = Recorder()
-    runtime = create_runtime(
-        make_topology(args.topology, args.parallelism, recorder),
-        config,
-        cluster=default_cluster(),
-        seed=args.seed,
-        tracer=tracer,
-        recorder=recorder,
-    )
+    try:
+        runtime = create_runtime(
+            make_topology(args.topology, args.parallelism, recorder),
+            config,
+            cluster=default_cluster(),
+            seed=args.seed,
+            tracer=tracer,
+            recorder=recorder,
+        )
+    except ValueError as exc:
+        if tracer is not None:
+            tracer.close()
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     shape = (f"{duration:.1f}s" if duration is not None
              else f"{budget} tuples/spout")
     print(f"running {args.topology} on the {args.backend} backend: "

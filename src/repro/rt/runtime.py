@@ -207,6 +207,9 @@ class AsyncRuntime(RuntimeBackend):
     """
 
     name = "asyncio"
+    #: delivery guarantees the asyncio hosts cannot honour: their acker
+    #: replays whole trees and never dedups or buffers commits
+    UNSUPPORTED_DELIVERY = ("exactly_once", "atomic")
 
     def __init__(
         self,
@@ -217,6 +220,12 @@ class AsyncRuntime(RuntimeBackend):
         tracer=None,
         recorder: Optional[Recorder] = None,
     ):
+        if config.delivery_mode in self.UNSUPPORTED_DELIVERY:
+            raise ValueError(
+                f"delivery={config.delivery_mode!r} is not supported on the "
+                "asyncio backend (it provides at_most_once and "
+                "at_least_once); use backend='sim'"
+            )
         topology.validate()
         self.topology = topology
         self.config = config

@@ -4,24 +4,16 @@ The engine is intentionally minimal and allocation-light: the hot loop is
 ``heappop`` + callback dispatch.  Events scheduled at the same instant run
 in FIFO order within a priority class, so runs are fully deterministic.
 
-Two calendar implementations back the queue:
-
-* the default :mod:`heapq` heap of ``(when, key, event)`` 3-tuples, where
-  ``key = priority * 2**62 + seq`` packs the priority class and the
-  monotonically increasing sequence number into one integer comparison
-  (equivalent to the classic ``(when, prio, seq)`` ordering, one tuple
-  element cheaper to compare and box);
-* the opt-in :class:`~repro.sim.calendar.ArrayCalendar` (preallocated
-  ``when``/``key`` arrays + index heap), selected with
-  ``Simulator(calendar="array")`` or ``REPRO_SIM_CALENDAR=array``.
-
-Both produce identical event orderings; see ``tests/test_sim_calendar.py``.
+The queue is a :mod:`heapq` heap of ``(when, key, event)`` 3-tuples, where
+``key = priority * 2**62 + seq`` packs the priority class and the
+monotonically increasing sequence number into one integer comparison
+(equivalent to the classic ``(when, prio, seq)`` ordering, one tuple
+element cheaper to compare and box).
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from itertools import count
 from typing import Any, Generator, Optional, Union
 
@@ -40,10 +32,6 @@ _PRIO_STRIDE = 1 << 62
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-
-
-def _default_calendar() -> str:
-    return os.environ.get("REPRO_SIM_CALENDAR", "heap")
 
 
 class _Call:
@@ -71,37 +59,20 @@ class Simulator:
     ----------
     start_time:
         Initial clock value.
-    calendar:
-        ``"heap"`` (default) or ``"array"``; ``None`` reads the
-        ``REPRO_SIM_CALENDAR`` environment variable (falling back to
-        ``"heap"``).
     """
 
     __slots__ = (
         "_now",
         "_queue",
-        "_cal",
         "_seq",
         "_active_count",
         "_tracer",
         "_trace_steps",
     )
 
-    def __init__(self, start_time: float = 0.0, calendar: Optional[str] = None):
+    def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
         self._queue: list = []
-        if calendar is None:
-            calendar = _default_calendar()
-        if calendar == "heap":
-            self._cal = None
-        elif calendar == "array":
-            from repro.sim.calendar import ArrayCalendar
-
-            self._cal = ArrayCalendar()
-        else:
-            raise SimulationError(
-                f"unknown calendar {calendar!r} (expected 'heap' or 'array')"
-            )
         self._seq = count()
         self._active_count = 0
         self._tracer = None
@@ -163,10 +134,7 @@ class Simulator:
         key = next(self._seq)
         if priority:
             key += _PRIO_STRIDE
-        if self._cal is None:
-            _heappush(self._queue, (self._now + delay, key, event))
-        else:
-            self._cal.push(self._now + delay, key, event)
+        _heappush(self._queue, (self._now + delay, key, event))
 
     def schedule_call(self, delay: float, fn) -> None:
         """Schedule ``fn()`` to run after ``delay`` seconds.
@@ -178,16 +146,11 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         key = next(self._seq) + _PRIO_STRIDE
-        if self._cal is None:
-            _heappush(self._queue, (self._now + delay, key, _Call(fn)))
-        else:
-            self._cal.push(self._now + delay, key, _Call(fn))
+        _heappush(self._queue, (self._now + delay, key, _Call(fn)))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._cal is None:
-            return self._queue[0][0] if self._queue else float("inf")
-        return self._cal.peek_when() if self._cal else float("inf")
+        return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process exactly one event.
@@ -200,21 +163,13 @@ class Simulator:
         other callback error) deterministic regardless of callback
         registration order.
         """
-        if self._cal is None:
-            queue = self._queue
-            if not queue:
-                raise SimulationError(
-                    "step() on an empty event queue: nothing left to simulate "
-                    "(use peek() to check, or run() which stops at drain)"
-                )
-            when, _key, event = _heappop(queue)
-        else:
-            if not self._cal:
-                raise SimulationError(
-                    "step() on an empty event queue: nothing left to simulate "
-                    "(use peek() to check, or run() which stops at drain)"
-                )
-            when, event = self._cal.pop()
+        queue = self._queue
+        if not queue:
+            raise SimulationError(
+                "step() on an empty event queue: nothing left to simulate "
+                "(use peek() to check, or run() which stops at drain)"
+            )
+        when, _key, event = _heappop(queue)
         self._now = when
         if type(event) is _Call:
             if self._trace_steps:
@@ -267,15 +222,10 @@ class Simulator:
                 run until that event has been processed; returns its value.
         """
         step = self.step
+        queue = self._queue
         if until is None:
-            if self._cal is None:
-                queue = self._queue
-                while queue:
-                    step()
-            else:
-                cal = self._cal
-                while cal:
-                    step()
+            while queue:
+                step()
             return None
 
         if isinstance(until, Event):
@@ -288,14 +238,8 @@ class Simulator:
                 sentinel.append(True)
 
             stop.callbacks.append(_mark)
-            if self._cal is None:
-                queue = self._queue
-                while queue and not sentinel:
-                    step()
-            else:
-                cal = self._cal
-                while cal and not sentinel:
-                    step()
+            while queue and not sentinel:
+                step()
             if not sentinel:
                 raise SimulationError(
                     "event queue drained before the 'until' event triggered"
@@ -310,13 +254,7 @@ class Simulator:
             raise SimulationError(
                 f"run(until={horizon}) is in the past (now={self._now})"
             )
-        if self._cal is None:
-            queue = self._queue
-            while queue and queue[0][0] <= horizon:
-                step()
-        else:
-            cal = self._cal
-            while cal and cal.peek_when() <= horizon:
-                step()
+        while queue and queue[0][0] <= horizon:
+            step()
         self._now = horizon
         return None

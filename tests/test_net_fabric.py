@@ -256,3 +256,98 @@ def test_rdma_loopback_skips_rnic():
     sim.run()
     assert inbox.level == 1
     assert rdma.rnics[0].wrs_posted == 0
+
+
+# ----------------------------------------------------------------------
+# RNIC -> NIC -> wire: tandem FIFOs booked at WR admission
+# ----------------------------------------------------------------------
+def tandem(sim, bandwidth=1e6, latency=1e-3):
+    """Machine 0's RNIC and 1 Mbps NIC: 100 B take 0.8 ms on the wire."""
+    fabric = make_fabric(sim, bandwidth=bandwidth, latency=latency)
+    rdma = RdmaTransport(sim, fabric, CostModel(), use_ring=False)
+    arrivals = []
+    fabric.bind(1, lambda m: arrivals.append((m.payload, sim.now)))
+    return fabric, rdma.rnics[0], arrivals
+
+
+def post_at(sim, rnic, t, name):
+    from repro.net import WorkRequest
+
+    msg = WireMessage(payload=name, size_bytes=100, src_machine=0, dst_machine=1)
+    sim.schedule_call(t, lambda: rnic.post(WorkRequest(msg)))
+
+
+def test_rnic_nic_and_wire_cost_one_event_per_message():
+    sim = Simulator()
+    fabric, rnic, arrivals = tandem(sim)
+    for name in "ab":
+        post_at(sim, rnic, 0.0, name)
+    steps = 0
+    while sim.peek() < float("inf"):
+        sim.step()
+        steps += 1
+    dma, tx = rnic.costs.rnic_wr_service_s, 0.8e-3
+    assert arrivals == [
+        ("a", pytest.approx(dma + tx + 1e-3)),
+        ("b", pytest.approx(dma + 2 * tx + 1e-3)),  # queued behind a
+    ]
+    assert steps == 2 + 2  # two posts, two arrivals
+    assert fabric.messages_injected == fabric.messages_delivered == 2
+
+
+def test_direct_send_overtakes_a_message_still_in_dma():
+    """A message handed straight to the NIC (TCP fallback) while a WR is
+    still in DMA goes on the wire first, as the NIC sees it first."""
+    sim = Simulator()
+    fabric, rnic, arrivals = tandem(sim)
+    dma, tx = rnic.costs.rnic_wr_service_s, 0.8e-3
+    post_at(sim, rnic, 0.0, "rdma")
+    direct = WireMessage(payload="direct", size_bytes=100, src_machine=0,
+                         dst_machine=1)
+    sim.schedule_call(dma / 2, lambda: fabric.send(direct))
+    sim.run()
+    assert arrivals == [
+        ("direct", pytest.approx(dma / 2 + tx + 1e-3)),
+        ("rdma", pytest.approx(dma / 2 + 2 * tx + 1e-3)),
+    ]
+
+
+def test_crash_keeps_the_wire_drops_the_wr_queue_and_dead_letters_dma():
+    """At a crash the message on the wire arrives, the WR in DMA reaches
+    the paused NIC and dies there, queued WRs never reach the fabric."""
+    sim = Simulator()
+    fabric, rnic, arrivals = tandem(sim)
+    dma = rnic.costs.rnic_wr_service_s
+    post_at(sim, rnic, 0.0, "wire")
+    for name in ("in-dma", "queued-1", "queued-2"):
+        post_at(sim, rnic, 2 * dma, name)
+
+    def crash():
+        fabric.set_machine_up(0, False)
+        assert rnic.reset() == 2
+
+    sim.schedule_call(2.5 * dma, crash)
+    sim.run()
+    assert [name for name, _t in arrivals] == ["wire"]
+    assert fabric.messages_injected == 2
+    assert fabric.messages_delivered == 1 and fabric.messages_dead == 1
+
+
+def test_full_wr_queue_blocks_the_poster_until_the_head_dma_ends():
+    from repro.net import Rnic, WorkRequest
+
+    sim = Simulator()
+    fabric = make_fabric(sim, bandwidth=1e6, latency=1e-3)
+    rnic = Rnic(sim, 0, fabric, CostModel(), wr_queue_depth=1)
+    fabric.bind(1, lambda m: None)
+    dma = rnic.costs.rnic_wr_service_s
+    msgs = [WireMessage(payload=i, size_bytes=100, src_machine=0, dst_machine=1)
+            for i in range(3)]
+    waits = [rnic.post(WorkRequest(m)) for m in msgs]
+    assert waits[:2] == [None, None] and rnic.queue_depth == 1
+    admitted = []
+    waits[2].callbacks.append(lambda _ev: admitted.append(sim.now))
+    sim.run()
+    assert admitted == [pytest.approx(dma)]  # when the head's DMA ended
+    assert fabric.messages_delivered == 3
+    assert msgs[2].sent_at == pytest.approx(3 * dma)  # DMA after the second

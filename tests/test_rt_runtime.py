@@ -124,6 +124,23 @@ def test_create_runtime_dispatches_on_backend():
     assert isinstance(real, AsyncRuntime)
 
 
+@pytest.mark.parametrize("mode", ["exactly_once", "atomic"])
+def test_asyncio_backend_refuses_delivery_it_cannot_honour(mode, capsys):
+    config = SystemConfig(name="x", backend="asyncio", delivery=mode)
+    with pytest.raises(ValueError, match=mode):
+        create_runtime(make_topology("fanout"), config)
+    with pytest.raises(ValueError, match=mode):
+        AsyncRuntime(make_topology("fanout"), config)
+    # the sim backend honours every mode
+    sim_config = SystemConfig(name="x", backend="sim", delivery=mode)
+    assert isinstance(create_runtime(make_topology("fanout"), sim_config),
+                      SimRuntime)
+    from repro.rt.cli import main
+
+    assert main(["run", "--topology", "fanout", "--delivery", mode]) == 2
+    assert mode in capsys.readouterr().err
+
+
 def test_sim_runtime_is_bit_identical_per_seed():
     """The DES backend stays deterministic under the runtime wrapper:
     same seed, same trace, record for record."""
