@@ -22,15 +22,23 @@ Usage::
 * ``mode="warn"`` collects every breach into the :class:`CheckReport`
   and additionally emits a ``check.violation`` trace record.
 
-Checks are cheap relative to the simulation (counter comparisons and an
-O(n) tree walk), but on large runs ``check_interval_s`` can rate-limit
-the per-record state sweep; record-scope checks (the clock) always run.
+Checking is incremental.  Record-scope invariants (the clock) run on
+every record.  A state invariant runs only on the record kinds it
+``watches`` (see :mod:`repro.check.invariants`), and the queue
+invariants inspect just the queue a ``queue.*`` record names, so a
+record costs a few counter comparisons however large the system is.  A
+breach is therefore reported no later than the next record its
+invariant watches (for a queue, the next record naming that queue or
+sweeping all of them).  :meth:`InvariantChecker.check_state` and
+:meth:`InvariantChecker.finalize` sweep every state invariant in full.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Union
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Union,
+)
 
 from repro.check.invariants import (
     REGISTRY,
@@ -122,16 +130,13 @@ class InvariantChecker:
         system: "DspsSystem",
         mode: str = "strict",
         invariants: Optional[Iterable[Union[str, Invariant]]] = None,
-        check_interval_s: Optional[float] = None,
         keep_records: bool = True,
     ):
         """``invariants`` selects a subset of the catalog (by name or
         :class:`Invariant`); default is everything registered.
-        ``check_interval_s`` rate-limits the state sweep to at most once
-        per simulated interval.  ``keep_records=False`` drops the
-        lifecycle-record retention (and with it the end-of-run
-        ``metrics_replay_equiv`` cross-check) to bound memory on very
-        long runs."""
+        ``keep_records=False`` drops the lifecycle-record retention (and
+        with it the end-of-run ``metrics_replay_equiv`` cross-check) to
+        bound memory on very long runs."""
         if mode not in ("strict", "warn"):
             raise ValueError(f"mode must be 'strict' or 'warn', got {mode!r}")
         self.system = system
@@ -144,16 +149,23 @@ class InvariantChecker:
                 for inv in invariants
             ]
         self.invariants: List[Invariant] = selected
-        self._record_invs = [i for i in selected if i.scope == "record"]
-        self._state_invs = [i for i in selected if i.scope == "state"]
-        self._final_invs = [i for i in selected if i.scope == "final"]
-        self.check_interval_s = check_interval_s
+        #: one long-lived context per invariant (its ``memo`` persists)
+        contexts = [CheckContext(self, inv) for inv in selected]
+        self._record_ctxs, self._state_ctxs, self._final_ctxs = (
+            [c for c in contexts if c.invariant.scope == scope]
+            for scope in ("record", "state", "final")
+        )
+        #: record kind -> the state contexts watching it (filled lazily)
+        self._watchers: Dict[str, Sequence[CheckContext]] = {}
+        #: transfer-queue name -> executor, for queue-narrowed checks
+        self.executor_of_queue: Dict[str, Any] = {
+            ex.transfer_queue.name: ex for ex in system.executors.values()
+        }
         self.keep_records = keep_records
         self.lifecycle_records: List[Dict[str, Any]] = []
         self.report = CheckReport(mode=mode)
         #: timestamp of the latest record seen (for the clock invariant).
         self.last_record_t: Optional[float] = None
-        self._last_state_check_t: Optional[float] = None
         self._tap: Optional[_CheckerTap] = None
         self._prev_tracer: Optional[Tracer] = None
         self._in_check = False
@@ -195,30 +207,39 @@ class InvariantChecker:
             return  # records emitted while checking never recurse
         self.report.records_seen += 1
         t = record.get("t", 0.0)
-        for inv in self._record_invs:
-            self._run(inv, t, record)
+        for ctx in self._record_ctxs:
+            self._run(ctx, t, record)
         if self.last_record_t is None or t > self.last_record_t:
             self.last_record_t = t
         kind = record["kind"]
         if self.keep_records and kind in LIFECYCLE_KINDS:
             self.lifecycle_records.append(record)
+        watchers = self._watchers.get(kind)
+        if watchers is None:
+            watchers = self._watchers[kind] = self._watching(kind)
+        for ctx in watchers:
+            self._run(ctx, t, record)
+
+    def _watching(self, kind: str) -> Sequence[CheckContext]:
+        """The state invariants a record of ``kind`` can break."""
         if kind.startswith("sim."):
-            return  # engine firehose: clock check only, skip the sweep
-        if self.check_interval_s is not None:
-            last = self._last_state_check_t
-            if last is not None and t - last < self.check_interval_s:
-                return
-        self._last_state_check_t = t
-        for inv in self._state_invs:
-            self._run(inv, t, record)
+            return ()  # engine firehose: clock check only
+        return tuple(
+            ctx
+            for ctx in self._state_ctxs
+            if ctx.invariant.watches is None
+            or kind.startswith(ctx.invariant.watches)
+        )
 
     def _run(
-        self, inv: Invariant, t: float, record: Optional[Dict] = None
+        self, ctx: CheckContext, t: float, record: Optional[Dict] = None
     ) -> None:
         self.report.checks_run += 1
+        ctx.t = t
+        ctx.record = record
         self._in_check = True
         try:
-            inv.fn(CheckContext(self, inv, t, record))
+            ctx.invariant.fn(ctx)
         finally:
             self._in_check = False
 
@@ -226,20 +247,18 @@ class InvariantChecker:
     # explicit sweeps
     # ------------------------------------------------------------------
     def check_state(self) -> CheckReport:
-        """Run every state-scope invariant right now."""
+        """Run every state-scope invariant right now, over every object."""
         t = self.system.sim.now
-        for inv in self._state_invs:
-            self._run(inv, t)
+        for ctx in self._state_ctxs:
+            self._run(ctx, t)
         return self.report
 
     def finalize(self) -> CheckReport:
         """End-of-run sweep: state invariants plus the final-scope checks
         that only hold once the run has settled."""
         t = self.system.sim.now
-        for inv in self._state_invs:
-            self._run(inv, t)
-        for inv in self._final_invs:
-            self._run(inv, t)
+        for ctx in self._state_ctxs + self._final_ctxs:
+            self._run(ctx, t)
         self.report.finalized = True
         return self.report
 

@@ -17,59 +17,114 @@ cross-subsystem consistency (crash quarantine, suspicion/degraded
 coupling, live-vs-replay metric equality) is only well-defined once the
 run has settled and lives in ``final`` scope.
 
-The catalog (see TESTING.md for the prose version):
+State invariants are checked incrementally.  Each one declares the
+record-kind prefixes after which its guarded state can have changed
+(``watches``; ``None`` means every record) and runs only on those
+records.  The queue invariants also narrow by the record: a ``queue.*``
+record names its queue, so only that queue's executor is inspected;
+their other watched kinds (crash ``clear()``, shedding, flow, migration)
+mutate queues without naming one and sweep every executor.
+:meth:`~repro.check.checker.InvariantChecker.check_state` and
+``finalize()`` always sweep everything.
 
-==========================  ====== ==========================================
-name                        scope  guards against
-==========================  ====== ==========================================
-``clock_monotone``          record time travel in the event engine
-``queue_conservation``      state  lost/duplicated envelopes in any
-                                   transfer queue (offered = accepted +
-                                   dropped + waiting; accepted = dequeued +
-                                   cleared + level; level <= capacity)
-``tracker_conservation``    state  multicast/completion tracker leaks
-                                   (registered = completed + cancelled +
-                                   outstanding, latency list lengths)
-``replay_conservation``     state  acker tree leaks and double-counted
-                                   give-ups (registered = completions +
-                                   gave_up + outstanding, roots unique,
-                                   abandoned counter = give-ups)
-``no_duplicate_side_effects`` state duplicate executions of one root at
-                                   one task slipping past exactly-once /
-                                   atomic dedup
-``group_atomicity``         final  atomic multicast breaches: an aborted
-                                   tree that executed anywhere, a
-                                   committed tree missing a live
-                                   destination, or out-of-sender-order
-                                   commits
-``tree_structure``          state  disconnected/cyclic multicast trees,
-                                   d* cap violations, detached endpoints
-                                   still wired into a tree
-``bounded_queues``          state  queues outgrowing their capacity (or
-                                   credit reservations going negative)
-                                   while flow control is on
-``shed_conservation``       state  shed/deferred messages double- or
-                                   un-counted between the flow
-                                   controller, metrics, and queues
-``partition_routing``       state  the rebalancer's directory corrupting
-                                   routing (active + parked != placed,
-                                   empty active set, order breakage)
-``fabric_conservation``     state  message counters drifting (delivered +
-                                   dead + lost <= injected)
-``crash_quarantine``        final  crashed machines whose NIC, worker, or
-                                   executors are still live
-``suspects_degraded``       final  suspected machines still on the RDMA
-                                   fast path (never relaying is enforced
-                                   structurally: detached => out of tree)
-``metrics_replay_equiv``    final  MetricsHub figures diverging from what
-                                   the trace replay re-derives
-==========================  ====== ==========================================
+The catalog (see TESTING.md for the prose version; ``*`` = every
+record, ``q`` = only the queue the record names):
+
+=============================  ====== =================  =====================
+name                           scope  watches            guards against
+=============================  ====== =================  =====================
+``clock_monotone``             record ``*``              time travel in the
+                                                         event engine
+``queue_conservation``         state  ``queue.`` (q),    lost/duplicated
+                                      ``fault.``,        envelopes in a
+                                      ``shed.``,         transfer queue
+                                      ``flow.``,         (offered = accepted
+                                      ``rebalance.``     + dropped + waiting;
+                                                         accepted = dequeued
+                                                         + cleared + shed +
+                                                         level; level <=
+                                                         capacity)
+``tracker_conservation``       state  ``*``              multicast/completion
+                                                         tracker leaks
+                                                         (registered =
+                                                         completed +
+                                                         cancelled +
+                                                         outstanding, latency
+                                                         list lengths)
+``replay_conservation``        state  ``*``              acker tree leaks and
+                                                         double-counted
+                                                         give-ups (registered
+                                                         = completions +
+                                                         gave_up +
+                                                         outstanding, roots
+                                                         unique, abandoned
+                                                         counter = give-ups)
+``no_duplicate_side_effects``  state  ``*``              duplicate executions
+                                                         of one root at one
+                                                         task slipping past
+                                                         exactly-once /
+                                                         atomic dedup
+``group_atomicity``            final  --                 atomic multicast
+                                                         breaches: an aborted
+                                                         tree that executed
+                                                         anywhere, a
+                                                         committed tree
+                                                         missing a live
+                                                         destination, or
+                                                         out-of-sender-order
+                                                         commits
+``tree_structure``             state  ``switch.``,       disconnected/cyclic
+                                      ``fault.``,        multicast trees, d*
+                                      ``controller.``    cap violations,
+                                                         detached endpoints
+                                                         still wired into a
+                                                         tree
+``bounded_queues``             state  ``queue.`` (q),    queues outgrowing
+                                      ``fault.``,        their capacity (or
+                                      ``shed.``,         credit reservations
+                                      ``flow.``,         going negative)
+                                      ``rebalance.``     while flow control
+                                                         is on
+``shed_conservation``          state  ``shed.``,         shed/deferred
+                                      ``flow.``,         messages double- or
+                                      ``queue.evict``,   un-counted between
+                                      ``fault.``         the flow controller,
+                                                         metrics, and queues
+``partition_routing``          state  ``rebalance.``,    the rebalancer's
+                                      ``fault.``         directory corrupting
+                                                         routing (active +
+                                                         parked != placed,
+                                                         empty active set,
+                                                         order breakage)
+``fabric_conservation``        state  ``*``              message counters
+                                                         drifting (delivered
+                                                         + dead + lost <=
+                                                         injected)
+``crash_quarantine``           final  --                 crashed machines
+                                                         whose NIC, worker,
+                                                         or executors are
+                                                         still live
+``suspects_degraded``          final  --                 suspected machines
+                                                         still on the RDMA
+                                                         fast path (never
+                                                         relaying is enforced
+                                                         structurally:
+                                                         detached => out of
+                                                         tree)
+``metrics_replay_equiv``       final  --                 MetricsHub figures
+                                                         diverging from what
+                                                         the trace replay
+                                                         re-derives
+=============================  ====== =================  =====================
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Mapping, Optional,
+    Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.check.checker import InvariantChecker
@@ -112,24 +167,35 @@ class Invariant:
     description: str
     scope: str  # "record" | "state" | "final"
     fn: Callable[["CheckContext"], None]
+    #: record-kind prefixes after which the guarded state can have
+    #: changed (state scope); ``None`` = every record.
+    watches: Optional[Tuple[str, ...]] = None
 
 
 class CheckContext:
-    """What an invariant function sees: the system, the instant, and —
-    for record-scope invariants — the triggering trace record."""
+    """What an invariant function sees: the system, the instant, and the
+    triggering trace record (``None`` in a full sweep).
 
-    def __init__(
-        self,
-        checker: "InvariantChecker",
-        invariant: Invariant,
-        t: float,
-        record: Optional[Dict[str, Any]] = None,
-    ):
+    One context per invariant lives as long as its checker, so
+    :attr:`memo` carries state between calls (e.g. a cursor)."""
+
+    def __init__(self, checker: "InvariantChecker", invariant: Invariant):
         self.checker = checker
         self.system: "DspsSystem" = checker.system
         self.invariant = invariant
-        self.t = t
-        self.record = record
+        self.t = 0.0
+        self.record: Optional[Dict[str, Any]] = None
+        self.memo: Dict[str, Any] = {}
+
+    def executors(self) -> Iterable[Any]:
+        """The executors a queue invariant inspects: the one owning the
+        record's queue on a ``queue.*`` record, every executor otherwise."""
+        record = self.record
+        if record is not None and record["kind"].startswith("queue."):
+            ex = self.checker.executor_of_queue.get(record.get("queue"))
+            if ex is not None:
+                return (ex,)
+        return self.system.executors.values()
 
     def fail(self, message: str, **context: Any) -> None:
         """Report one breach; raises in strict mode, records in warn."""
@@ -151,16 +217,28 @@ REGISTRY: Dict[str, Invariant] = {}
 _SCOPES = ("record", "state", "final")
 
 
-def invariant(name: str, scope: str, description: str):
-    """Register an invariant function under ``name``."""
+def invariant(
+    name: str,
+    scope: str,
+    description: str,
+    watches: Optional[Tuple[str, ...]] = None,
+):
+    """Register an invariant function under ``name``.
+
+    ``watches`` (state scope only) lists the record-kind prefixes after
+    which the invariant's state can have changed; the checker runs it on
+    those records only.  ``None`` runs it on every record."""
     if scope not in _SCOPES:
         raise ValueError(f"scope must be one of {_SCOPES}, got {scope!r}")
+    if watches is not None and scope != "state":
+        raise ValueError("only state invariants watch record kinds")
 
     def deco(fn: Callable[[CheckContext], None]) -> Callable:
         if name in REGISTRY:
             raise ValueError(f"invariant {name!r} already registered")
         REGISTRY[name] = Invariant(
-            name=name, description=description, scope=scope, fn=fn
+            name=name, description=description, scope=scope, fn=fn,
+            watches=watches,
         )
         return fn
 
@@ -198,13 +276,19 @@ def _clock_monotone(ctx: CheckContext) -> None:
 # ----------------------------------------------------------------------
 # state scope
 # ----------------------------------------------------------------------
+#: Kinds that mutate queues: ``queue.*`` names its queue; a crash
+#: (``clear()``), shedding, flow and migration touch queues unnamed.
+QUEUE_KINDS = ("queue.", "fault.", "shed.", "flow.", "rebalance.")
+
+
 @invariant(
     "queue_conservation",
     "state",
     "every transfer queue conserves items and respects its capacity",
+    watches=QUEUE_KINDS,
 )
 def _queue_conservation(ctx: CheckContext) -> None:
-    for task_id, ex in ctx.system.executors.items():
+    for ex in ctx.executors():
         q = ex.transfer_queue
         if not (0 <= q.level <= q.capacity):
             ctx.fail(
@@ -236,7 +320,7 @@ def _queue_conservation(ctx: CheckContext) -> None:
             ctx.fail(
                 f"inqueue occupancy {inqueue.level} outside "
                 f"[0, {inqueue.capacity}]",
-                task=task_id,
+                task=ex.task_id,
             )
 
 
@@ -286,13 +370,23 @@ def _replay_conservation(ctx: CheckContext) -> None:
             f"{len(coord.completions)} + gave_up {len(coord.gave_up)} + "
             f"outstanding {coord.outstanding}"
         )
-    if len(coord.gave_up) != len(set(coord.gave_up)):
-        ctx.fail(
-            f"gave_up roots not unique: {sorted(coord.gave_up)}"
-        )
-    completed_roots = [c.root_id for c in coord.completions]
-    if len(completed_roots) != len(set(completed_roots)):
-        ctx.fail("completion roots not unique")
+    # Both lists are append-only: a cursor per list and the roots seen
+    # so far make each call proportional to the new entries.
+    memo = ctx.memo
+    n_given_up = memo.get("gave_up", 0)
+    given_up = memo.setdefault("gave_up_roots", set())
+    for root in coord.gave_up[n_given_up:]:
+        if root in given_up:
+            ctx.fail(f"gave_up root {root} counted twice")
+        given_up.add(root)
+    memo["gave_up"] = len(coord.gave_up)
+    n_completed = memo.get("completions", 0)
+    completed = memo.setdefault("completion_roots", set())
+    for c in coord.completions[n_completed:]:
+        if c.root_id in completed:
+            ctx.fail(f"completion root {c.root_id} counted twice")
+        completed.add(c.root_id)
+    memo["completions"] = len(coord.completions)
     abandoned = ctx.system.metrics.messages_abandoned
     if abandoned != len(coord.gave_up):
         ctx.fail(
@@ -324,6 +418,7 @@ def _no_duplicate_side_effects(ctx: CheckContext) -> None:
     "state",
     "every multicast tree is connected, acyclic, within the d* cap, and "
     "free of detached endpoints",
+    watches=("switch.", "fault.", "controller."),
 )
 def _tree_structure(ctx: CheckContext) -> None:
     from repro.multicast import SOURCE
@@ -367,12 +462,13 @@ def _tree_structure(ctx: CheckContext) -> None:
     "state",
     "with flow control enabled no queue ever grew past its capacity and "
     "credit reservations stay sane",
+    watches=QUEUE_KINDS,
 )
 def _bounded_queues(ctx: CheckContext) -> None:
     flow = getattr(ctx.system, "flow", None)
     if flow is None:
         return
-    for task_id, ex in ctx.system.executors.items():
+    for ex in ctx.executors():
         q = ex.transfer_queue
         if q.max_length > q.capacity:
             ctx.fail(
@@ -385,13 +481,13 @@ def _bounded_queues(ctx: CheckContext) -> None:
             ctx.fail(
                 f"inqueue level {inqueue.level} > capacity "
                 f"{inqueue.capacity}",
-                task=task_id,
+                task=ex.task_id,
             )
-    for task_id, reserved in flow.in_flight.items():
+        reserved = flow.in_flight.get(ex.task_id, 0)
         if reserved < 0:
             ctx.fail(
                 f"negative credit reservation {reserved}",
-                task=task_id,
+                task=ex.task_id,
             )
 
 
@@ -400,6 +496,7 @@ def _bounded_queues(ctx: CheckContext) -> None:
     "state",
     "every shed or deferred message is accounted for exactly once across "
     "the flow controller, metrics hub, and per-queue counters",
+    watches=("shed.", "flow.", "queue.evict", "fault."),
 )
 def _shed_conservation(ctx: CheckContext) -> None:
     flow = getattr(ctx.system, "flow", None)
@@ -443,6 +540,7 @@ def _shed_conservation(ctx: CheckContext) -> None:
     "the rebalancer's routing directory partitions every operator's "
     "placed tasks into active + parked, never routes to an empty set, "
     "and preserves placement order",
+    watches=("rebalance.", "fault."),
 )
 def _partition_routing(ctx: CheckContext) -> None:
     router = getattr(ctx.system, "partition_router", None)

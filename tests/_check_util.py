@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.check import InvariantChecker
 from repro.core import create_system
 from repro.dsps import AllGrouping, Bolt, Spout, Topology
 from repro.net import Cluster
+from repro.trace.tracer import Tracer
 
 
 class SeqSpout(Spout):
@@ -125,3 +127,31 @@ def run_windowed(system, warmup_s=0.02, measure_s=0.3, drain_s=0.3):
     if drain_s > 0:
         system.sim.run(until=system.sim.now + drain_s)
     return system
+
+
+class SweepTap(Tracer):
+    """Test-only tracer that runs a full ``check_state()`` sweep of
+    ``sweeper`` after every record — the reference the incremental
+    checker is held to."""
+
+    def __init__(self, sweeper: InvariantChecker):
+        super().__init__(categories=None)
+        self.sweeper = sweeper
+
+    def write(self, record) -> None:
+        self.sweeper.check_state()
+
+
+def incremental_vs_swept(system, run=run_windowed):
+    """Run ``system`` (built with ``check=None``) under an incremental
+    ``warn`` checker whose wrapped tracer is a :class:`SweepTap`; return
+    the invariant names each reported during the run, as
+    ``(incremental, swept)`` sets."""
+    sweeper = InvariantChecker(system, mode="warn")
+    system.sim.tracer = SweepTap(sweeper)
+    incremental = system.attach_checker(mode="warn")
+    run(system)
+    return (
+        {v.invariant for v in incremental.report.violations},
+        {v.invariant for v in sweeper.report.violations},
+    )

@@ -6,7 +6,9 @@ Two kinds of properties live here:
   settings, workload mixes and fault schedules; every drawn scenario
   must finish a strict-checked run with zero violations, and must be
   bit-identically deterministic per seed (including with the checker
-  attached, which must not perturb the run).
+  attached, which must not perturb the run).  The same scenarios also
+  hold the incremental checker to a full ``check_state()`` sweep after
+  every record: both must report the same (here: no) violations.
 * **Pure structure properties** — multicast tree construction and the
   repair/reattach planners, checked directly without a simulation.
 
@@ -26,7 +28,11 @@ from repro.faults import FaultSchedule
 from repro.multicast import build_nonblocking_tree, plan_reattach, plan_repair
 from repro.trace import MemoryTracer
 
-from tests._check_util import build_checked_system, run_windowed
+from tests._check_util import (
+    build_checked_system,
+    incremental_vs_swept,
+    run_windowed,
+)
 
 END_TO_END = settings(max_examples=10, deadline=None)
 
@@ -44,8 +50,7 @@ def _config(mode: str, d_star: int, at_least_once: bool):
 # ----------------------------------------------------------------------
 # fuzzed end-to-end runs
 # ----------------------------------------------------------------------
-@END_TO_END
-@given(
+SCENARIOS = dict(
     mode=st.sampled_from(["whale", "storm"]),
     parallelism=st.integers(min_value=2, max_value=10),
     n_machines=st.integers(min_value=2, max_value=5),
@@ -55,18 +60,32 @@ def _config(mode: str, d_star: int, at_least_once: bool):
     at_least_once=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_fuzzed_scenarios_hold_every_invariant(
+
+
+def _scenario_system(
     mode, parallelism, n_machines, d_star, n_tuples, gap_us,
-    at_least_once, seed,
+    at_least_once, seed, check="strict",
 ):
-    system, log = build_checked_system(
+    return build_checked_system(
         _config(mode, d_star, at_least_once),
         parallelism=parallelism,
         n_machines=n_machines,
         n_tuples=n_tuples,
         gap_s=gap_us * 1e-6,
         seed=seed,
-        check="strict",
+        check=check,
+    )
+
+
+@END_TO_END
+@given(**SCENARIOS)
+def test_fuzzed_scenarios_hold_every_invariant(
+    mode, parallelism, n_machines, d_star, n_tuples, gap_us,
+    at_least_once, seed,
+):
+    system, log = _scenario_system(
+        mode, parallelism, n_machines, d_star, n_tuples, gap_us,
+        at_least_once, seed,
     )
     run_windowed(system)
     report = system.checker.finalize()
@@ -75,14 +94,26 @@ def test_fuzzed_scenarios_hold_every_invariant(
 
 
 @END_TO_END
-@given(
+@given(**SCENARIOS)
+def test_fuzzed_scenarios_incremental_matches_full_sweeps(
+    mode, parallelism, n_machines, d_star, n_tuples, gap_us,
+    at_least_once, seed,
+):
+    system, _ = _scenario_system(
+        mode, parallelism, n_machines, d_star, n_tuples, gap_us,
+        at_least_once, seed, check=None,
+    )
+    assert incremental_vs_swept(system) == (set(), set())
+
+
+FAULT_SCENARIOS = dict(
     n_crashes=st.integers(min_value=1, max_value=2),
     fault_seed=st.integers(min_value=0, max_value=2**16),
     max_replays=st.integers(min_value=1, max_value=6),
 )
-def test_fuzzed_fault_schedules_hold_every_invariant(
-    n_crashes, fault_seed, max_replays
-):
+
+
+def _fault_system(n_crashes, fault_seed, max_replays, check="strict"):
     config = whale_full_config(adaptive=False).with_overrides(
         at_least_once=True,
         failure_detection=True,
@@ -94,13 +125,34 @@ def test_fuzzed_fault_schedules_hold_every_invariant(
         machines=[1, 2, 3], horizon_s=0.4, n_crashes=n_crashes,
         seed=fault_seed,
     )
-    system, _ = build_checked_system(
+    return build_checked_system(
         config, n_machines=4, parallelism=8, n_tuples=60,
-        fault_schedule=schedule, check="strict",
+        fault_schedule=schedule, check=check,
     )
-    run_windowed(system, measure_s=0.4, drain_s=0.6)
+
+
+def _run_fault_window(system):
+    return run_windowed(system, measure_s=0.4, drain_s=0.6)
+
+
+@END_TO_END
+@given(**FAULT_SCENARIOS)
+def test_fuzzed_fault_schedules_hold_every_invariant(
+    n_crashes, fault_seed, max_replays
+):
+    system, _ = _fault_system(n_crashes, fault_seed, max_replays)
+    _run_fault_window(system)
     assert system.checker.finalize().ok
     assert system.crash_count == n_crashes
+
+
+@END_TO_END
+@given(**FAULT_SCENARIOS)
+def test_fuzzed_fault_schedules_incremental_matches_full_sweeps(
+    n_crashes, fault_seed, max_replays
+):
+    system, _ = _fault_system(n_crashes, fault_seed, max_replays, check=None)
+    assert incremental_vs_swept(system, _run_fault_window) == (set(), set())
 
 
 def _first_divergence(records_a, records_b):

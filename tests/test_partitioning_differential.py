@@ -5,7 +5,8 @@ executors.  These tests pin the contract that made that safe: a seeded
 topology routed through registry-constructed strategies (string names on
 edges, or a system-wide ``SystemConfig.partitioning`` override naming
 the same algorithm) produces a **bit-identical trace** to the legacy
-grouping instances — every record, in order, field for field.
+grouping instances — every record, in order, field for field.  Every run
+is strict-checked.
 """
 
 from __future__ import annotations
@@ -88,8 +89,11 @@ def _trace(topology, seed, config=None):
         seed=seed,
         tracer=tracer,
     )
+    # The checker schedules nothing, so checked traces stay comparable.
+    checker = system.attach_checker(mode="strict")
     system.start()
     system.sim.run(until=0.5)
+    assert checker.finalize().ok
     return tracer.records
 
 
