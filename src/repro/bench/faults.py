@@ -213,7 +213,7 @@ def node_failure_run(
     """
     config = whale_full_config(adaptive=False).with_overrides(
         name="whale-faults",
-        at_least_once=True,
+        delivery="at_least_once",
         failure_detection=True,
         ack_timeout_s=0.15,
         ack_sweep_interval_s=0.02,
@@ -678,7 +678,7 @@ def overload_run(
     completion = metrics.completion
     delivered = completion.completed
     inqueue_hwm = max(
-        (getattr(ex, "inqueue_hwm", 0) for ex in system.executors.values()),
+        (ex.inqueue_hwm for ex in system.executors.values()),
         default=0,
     )
     transfer_hwm = max(

@@ -288,6 +288,7 @@ QUEUE_KINDS = ("queue.", "fault.", "shed.", "flow.", "rebalance.")
     watches=QUEUE_KINDS,
 )
 def _queue_conservation(ctx: CheckContext) -> None:
+    capacity = ctx.system.config.executor_queue_capacity
     for ex in ctx.executors():
         q = ex.transfer_queue
         if not (0 <= q.level <= q.capacity):
@@ -315,11 +316,9 @@ def _queue_conservation(ctx: CheckContext) -> None:
                 f"{q.cleared} + shed {shed} + level {q.level}",
                 queue=q.name,
             )
-        inqueue = getattr(ex, "inqueue", None)
-        if inqueue is not None and not (0 <= inqueue.level <= inqueue.capacity):
+        if not 0 <= ex.queued <= capacity:
             ctx.fail(
-                f"inqueue occupancy {inqueue.level} outside "
-                f"[0, {inqueue.capacity}]",
+                f"inqueue occupancy {ex.queued} outside [0, {capacity}]",
                 task=ex.task_id,
             )
 
@@ -468,6 +467,7 @@ def _bounded_queues(ctx: CheckContext) -> None:
     flow = getattr(ctx.system, "flow", None)
     if flow is None:
         return
+    capacity = ctx.system.config.executor_queue_capacity
     for ex in ctx.executors():
         q = ex.transfer_queue
         if q.max_length > q.capacity:
@@ -476,11 +476,9 @@ def _bounded_queues(ctx: CheckContext) -> None:
                 f"{q.capacity}",
                 queue=q.name,
             )
-        inqueue = getattr(ex, "inqueue", None)
-        if inqueue is not None and inqueue.level > inqueue.capacity:
+        if ex.inqueue_hwm > capacity:
             ctx.fail(
-                f"inqueue level {inqueue.level} > capacity "
-                f"{inqueue.capacity}",
+                f"inqueue peaked at {ex.inqueue_hwm} > capacity {capacity}",
                 task=ex.task_id,
             )
         reserved = flow.in_flight.get(ex.task_id, 0)

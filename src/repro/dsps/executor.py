@@ -3,9 +3,9 @@
 Each task runs as two simulated threads, mirroring Storm's executor
 anatomy (Section 4 of the paper):
 
-* the **working thread** takes :class:`AddressedTuple`\\ s from the
-  executor incoming-queue, charges the operator's service time, and runs
-  the user logic (which may emit);
+* the **working thread** serves accepted tuples in FIFO order from a
+  bounded backlog, charges the operator's service time, and runs the
+  user logic (which may emit);
 * the **sending thread** drains the bounded **transfer queue** and hands
   envelopes to the communication engine.  The transfer queue is the
   queue of the paper's M/D/1 model; when it overflows, tuples are lost
@@ -26,7 +26,6 @@ from repro.dsps.tuples import AddressedTuple, StreamTuple
 from repro.net import cpu as cats
 from repro.net.cpu import CpuAccount
 from repro.sim.queues import TransferQueue
-from repro.sim.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dsps.system import DspsSystem
@@ -59,6 +58,10 @@ class ExecutorBase:
     """Shared machinery of spout and bolt executors."""
 
     is_spout = False
+    #: tuples waiting for the working thread, and their high-water mark
+    #: (spouts take no input)
+    queued = 0
+    inqueue_hwm = 0
 
     def __init__(self, system: "DspsSystem", task_id: int):
         self.system = system
@@ -273,181 +276,208 @@ class ExecutorBase:
 class BoltExecutor(ExecutorBase):
     """Working thread + sending thread around one Bolt instance.
 
-    **Batched dispatch** (``SystemConfig.batched_dispatch``): a bolt's
-    working thread is a pure FIFO single-server, so per-tuple completion
-    instants are a deterministic function of arrival instants:
-    ``done = max(now, busy_until) + service``.  For untraced runs with no
-    reliability tracking, ``accept`` computes that arithmetic directly
-    instead of a queue hand-off event plus a service timeout per tuple:
+    The working thread is a FIFO single server on the simulator's call
+    lane, shaped like the worker's receive thread: a tuple accepted while
+    the thread is idle starts service at once, otherwise it waits in the
+    bounded ``backlog`` until the one before completes.  Service start
+    runs the delivery gates (the flow layer's consume hook, the crash
+    check, the reliability verdict) and reads the service time; one call
+    at the completion instant charges the CPU, runs the bolt and starts
+    the next tuple — one engine event per executed tuple, traced or not.
 
-    * ``"timed"`` mode (bolts with downstream edges): one completion
-      timeout per tuple fires a flat callback at exactly ``done``, where
-      the bolt executes and emits — downstream timing is unchanged, but
-      the hand-off event and both generator resumes are gone;
-    * ``"lazy"`` mode (terminal sinks with no downstream): no per-tuple
-      events at all — completed work is *flushed* on the next accept,
-      when ``processed`` is read, on the metrics hub's one shared drain
-      timer (:meth:`MetricsHub.hold_until`), and at measurement-window
-      boundaries (:meth:`MetricsHub.flush`), with metrics taking the
-      computed completion instants.
-
-    Observable results match the event-resolved path up to same-instant
-    tie ordering.  The gate decision freezes at the first accepted tuple
-    — attach tracers/checkers before traffic starts.
+    **Lazy sinks.**  A terminal bolt with no downstream edges, in a run
+    with no tracer, reliability or flow layer, has nothing downstream to
+    time and nobody watching its per-tuple instants.  Its completions are
+    computed, not scheduled: ``done = max(now, busy_until) + service``.
+    Completed work is flushed on the next accept, when ``processed`` or
+    ``queued`` is read, on the metrics hub's one shared drain timer
+    (:meth:`MetricsHub.hold_until`), and at measurement-window boundaries
+    (:meth:`MetricsHub.flush`), with metrics taking the computed
+    completion instants — the instants the server would produce.  The
+    choice is made in :meth:`start`: attach tracers and checkers first.
     """
 
     def __init__(self, system: "DspsSystem", task_id: int):
         super().__init__(system, task_id)
         self.bolt: Bolt = self.spec.factory()  # type: ignore[assignment]
-        self.inqueue: Store = Store(
-            self.sim, capacity=system.config.executor_queue_capacity
-        )
+        self._capacity = system.config.executor_queue_capacity
+        #: tuples accepted while the working thread is busy, FIFO
+        self.backlog: Deque[StreamTuple] = deque()
+        self.busy = False
+        #: the tuple in service and its service time
+        self._current: Optional[tuple] = None
         self._processed = 0
         #: high-water mark of the queued (not in-service) input depth,
         #: maintained on every accept so overload experiments can measure
         #: queue growth with or without the flow layer
         self.inqueue_hwm = 0
-        #: dispatch mode, frozen at first accept:
-        #: ``None`` = undecided, then "slow" | "timed" | "lazy".
-        self._mode: Optional[str] = None
-        #: arithmetic FIFO of ``[done, service, tuple, live]``; the head
-        #: may be in service, everything behind it is queued.
-        self._fifo: Deque[list] = deque()
+        self._lazy = False
+        #: lazy sinks: computed ``(start, done, service, tuple)`` FIFO;
+        #: the head may be in service, everything behind it waits
+        self._computed: Deque[tuple] = deque()
         self._busy_until = self.sim.now
 
     @property
     def processed(self) -> int:
-        """Executions so far (realizing lazily-batched ones due by now)."""
-        if self._mode == "lazy":
+        """Executions so far (realizing lazy completions due by now)."""
+        if self._lazy:
             self._flush_completed()
         return self._processed
 
+    @property
+    def queued(self) -> int:
+        """Tuples waiting for the working thread: neither the one in
+        service nor completed ones."""
+        if not self._lazy:
+            return len(self.backlog)
+        self._flush_completed()
+        return self._lazy_waiting()
+
     def halt(self) -> None:
         super().halt()
-        mode = self._mode
-        if mode == "lazy":
-            self._flush_completed()
-        if mode in ("lazy", "timed"):
-            fifo = self._fifo
-            now = self.sim.now
-            zombie = None
-            if fifo and fifo[0][0] - fifo[0][1] <= now:
-                # Mid-service head: the CPU was committed at service
-                # start, the crash eats the output; the thread stays
-                # busy until its `done` (and, in timed mode, the live
-                # completion callback re-checks `halted` — so a recovery
-                # before `done` still lets it execute, exactly like the
-                # event-resolved loop's post-service halt check).
-                zombie = fifo.popleft()
-            while fifo:
-                entry = fifo.popleft()
-                entry[3] = False
-            if zombie is not None:
-                self._busy_until = zombie[0]
-                if mode == "timed":
-                    fifo.append(zombie)
-                elif zombie[1] > 0:
-                    # Lazy mode has no completion callback; settle the
-                    # committed CPU here and let the output die.
-                    self.cpu.charge(zombie[1], cats.PROCESSING)
-            else:
-                self._busy_until = now
-        self.inqueue.clear()
+        self.backlog.clear()
+        if not self._lazy:
+            return  # the tuple in service completes into the crash
+        self._flush_completed()
+        fifo = self._computed
+        now = self.sim.now
+        self._busy_until = now
+        if fifo and fifo[0][0] <= now:
+            # Mid-service head: the CPU was committed at service start
+            # and the thread stays busy until ``done``; the crash eats
+            # the output.
+            _start, self._busy_until, service, _tup = fifo[0]
+            self.cpu.charge(service, cats.PROCESSING)
+        fifo.clear()
 
     def start(self) -> None:
         super().start()
         self.bolt.prepare(self.context())
-        self.sim.process(self._work_loop())
-
-    def _pick_mode(self) -> str:
-        # The flow layer needs live input-queue depths (credits) and the
-        # event-resolved consume hook, so it pins the slow path too.
-        if not (
-            self.system.config.batched_dispatch
-            and self.system.reliability is None
-            and self.system.flow is None
+        system = self.system
+        self._lazy = (
+            self.spec.terminal
+            and not self._groupings
             and self.sim.tracer is None
-        ):
-            return "slow"
-        if self.spec.terminal and not self._groupings:
-            return "lazy"
-        return "timed"
+            and system.reliability is None
+            and system.flow is None
+        )
+        if self._lazy:
+            system.metrics.add_flush_hook(self._flush_completed)
 
     def accept(self, at: AddressedTuple) -> bool:
-        """Dispatcher entry point: enqueue a tuple (False = overflow)."""
-        mode = self._mode
-        if mode is None:
-            mode = self._mode = self._pick_mode()
-            if mode == "lazy":
-                self.system.metrics.add_flush_hook(self._flush_completed)
-        if mode == "slow":
-            ok = self.inqueue.try_put(at)
-            if not ok:
-                self.system.metrics.on_drop(f"{self.operator}.inqueue")
-            elif self.inqueue.level > self.inqueue_hwm:
-                self.inqueue_hwm = self.inqueue.level
-            return ok
-        if mode == "lazy":
-            self._flush_completed()
-        if self.halted:
-            # Accepted into a crashed executor: the tuple is absorbed and
-            # dies unprocessed (the event-resolved work loop drains and
-            # discards it the same way).
+        """Dispatcher entry point: queue a tuple (False = overflow)."""
+        if self._lazy:
+            return self._accept_lazy(at.tuple)
+        if not self.busy:
+            self._serve(at.tuple)
             return True
-        fifo = self._fifo
-        queued = len(fifo) - 1 if fifo else 0
-        if queued >= self.system.config.executor_queue_capacity:
+        backlog = self.backlog
+        if len(backlog) >= self._capacity:
             self.system.metrics.on_drop(f"{self.operator}.inqueue")
             return False
-        sim = self.sim
-        now = sim.now
-        tup = at.tuple
-        service = self.bolt.service_time(tup) * self.service_scale
-        start = self._busy_until
-        if start < now:
-            start = now
-        done = start + service
-        self._busy_until = done
-        entry = [done, service, tup, True]
-        fifo.append(entry)
-        if len(fifo) - 1 > self.inqueue_hwm:
-            self.inqueue_hwm = len(fifo) - 1
-        if mode == "timed":
-            sim.schedule_call(done - now, lambda: self._complete_timed(entry))
-        else:
-            self.system.metrics.hold_until(done, self._flush_completed)
+        backlog.append(at.tuple)
+        if len(backlog) > self.inqueue_hwm:
+            self.inqueue_hwm = len(backlog)
         return True
 
     # ------------------------------------------------------------------
-    # batched-dispatch machinery
+    # the working thread
     # ------------------------------------------------------------------
-    def _complete_timed(self, entry: list) -> None:
-        """Timed-mode completion: runs at exactly the service-done
-        instant, so emission timing matches the event-resolved path."""
-        if not entry[3]:
-            return
-        self._fifo.popleft()  # live completions fire in FIFO order
-        _done, service, tup, _live = entry
+    def _serve(self, tup: StreamTuple) -> None:
+        """Service start for ``tup`` — and, while the gates drop tuples,
+        for the ones behind it."""
+        self.busy = True
+        flow = self.system.flow
+        reliability = self.system.reliability
+        backlog = self.backlog
+        while True:
+            if flow is not None:
+                flow.on_execute(self.task_id)
+            # A crashed machine's tuples die unprocessed; the delivery
+            # gate (exactly-once dedup, atomic commit buffering) absorbs
+            # a copy before any service is charged.
+            if not self.halted and (
+                reliability is None
+                or reliability.on_delivery(self.task_id, tup) == "execute"
+            ):
+                service = self.bolt.service_time(tup) * self.service_scale
+                self._current = (tup, service)
+                self.sim.schedule_call(service, self._complete)
+                return
+            if not backlog:
+                self.busy = False
+                return
+            tup = backlog.popleft()
+
+    def _complete(self) -> None:
+        tup, service = self._current
         if service > 0:
             self.cpu.charge(service, cats.PROCESSING)
-        if self.halted:
-            return  # crash landed mid-service: no output, no ack
+        if not self.halted:  # a crash mid-service eats output and ack
+            self._execute(tup)
+        if self.backlog:
+            self._serve(self.backlog.popleft())
+        else:
+            self.busy = False
+
+    def _execute(self, tup: StreamTuple) -> None:
         metrics = self.system.metrics
         self.bolt.execute(tup, self.collector)
         self._processed += 1
         metrics.on_processed(self.operator)
         metrics.completion.on_executed(tup.tuple_id, self.task_id)
+        reliability = self.system.reliability
+        if reliability is not None:
+            reliability.notify_executed(self.task_id, tup)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.emit(
+                "tuple.execute",
+                self.sim.now,
+                id=tup.tuple_id,
+                root=tup.root_id,
+                operator=self.operator,
+                task=self.task_id,
+            )
         if self.spec.terminal:
             metrics.on_sink_latency(
                 self.operator, self.sim.now - tup.created_at
             )
 
-    def _flush_completed(self) -> None:
-        fifo = self._fifo
-        if not fifo:
-            return
+    # ------------------------------------------------------------------
+    # lazy sinks
+    # ------------------------------------------------------------------
+    def _lazy_waiting(self) -> int:
+        fifo = self._computed
+        if fifo and fifo[0][0] <= self.sim.now:
+            return len(fifo) - 1
+        return len(fifo)
+
+    def _accept_lazy(self, tup: StreamTuple) -> bool:
+        self._flush_completed()
+        if self.halted:
+            return True  # absorbed; dies unprocessed, as at the server
+        waiting = self._lazy_waiting()
+        if waiting >= self._capacity:
+            self.system.metrics.on_drop(f"{self.operator}.inqueue")
+            return False
         now = self.sim.now
-        if fifo[0][0] > now:
+        service = self.bolt.service_time(tup) * self.service_scale
+        start = self._busy_until
+        if start <= now:
+            start = now
+        elif waiting + 1 > self.inqueue_hwm:
+            self.inqueue_hwm = waiting + 1
+        done = start + service
+        self._busy_until = done
+        self._computed.append((start, done, service, tup))
+        self.system.metrics.hold_until(done, self._flush_completed)
+        return True
+
+    def _flush_completed(self) -> None:
+        fifo = self._computed
+        now = self.sim.now
+        if not fifo or fifo[0][1] > now:
             return
         metrics = self.system.metrics
         completion = metrics.completion
@@ -456,10 +486,8 @@ class BoltExecutor(ExecutorBase):
         cpu = self.cpu
         operator = self.operator
         task_id = self.task_id
-        while fifo and fifo[0][0] <= now:
-            done, service, tup, live = fifo.popleft()
-            if not live:
-                continue
+        while fifo and fifo[0][1] <= now:
+            _start, done, service, tup = fifo.popleft()
             if service > 0:
                 cpu.charge(service, cats.PROCESSING)
             bolt.execute(tup, collector)
@@ -467,48 +495,6 @@ class BoltExecutor(ExecutorBase):
             metrics.on_processed_at(operator, done)
             completion.on_executed(tup.tuple_id, task_id, at=done)
             metrics.on_sink_latency_at(operator, done - tup.created_at, at=done)
-
-    def _work_loop(self):
-        metrics = self.system.metrics
-        flow = self.system.flow
-        while True:
-            at = yield self.inqueue.get()
-            if flow is not None:
-                flow.on_execute(self.task_id)
-            if self.halted:
-                continue  # crashed machine: the tuple dies unprocessed
-            tup: StreamTuple = at.tuple
-            reliability = self.system.reliability
-            if reliability is not None:
-                # Delivery gate: dedup (exactly-once) and commit buffering
-                # (atomic) absorb the copy before any service is charged.
-                if reliability.on_delivery(self.task_id, tup) != "execute":
-                    continue
-            service = self.bolt.service_time(tup) * self.service_scale
-            if service > 0:
-                yield from self.cpu.work(service, cats.PROCESSING)
-            if self.halted:
-                continue  # crash landed mid-service: no output, no ack
-            self.bolt.execute(tup, self.collector)
-            self._processed += 1
-            metrics.on_processed(self.operator)
-            metrics.completion.on_executed(tup.tuple_id, self.task_id)
-            if reliability is not None:
-                reliability.notify_executed(self.task_id, tup)
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.emit(
-                    "tuple.execute",
-                    self.sim.now,
-                    id=tup.tuple_id,
-                    root=tup.root_id,
-                    operator=self.operator,
-                    task=self.task_id,
-                )
-            if self.spec.terminal:
-                metrics.on_sink_latency(
-                    self.operator, self.sim.now - tup.created_at
-                )
 
 
 class SpoutExecutor(ExecutorBase):

@@ -105,19 +105,6 @@ class FlowController:
     # ------------------------------------------------------------------
     # receiver-driven credits (one-to-many sends)
     # ------------------------------------------------------------------
-    def _inqueue_depth(self, task: int) -> int:
-        executor = self.system.executors.get(task)
-        if executor is None:
-            return 0
-        inqueue = getattr(executor, "inqueue", None)
-        if inqueue is None:
-            return 0
-        depth = inqueue.level
-        fifo = getattr(executor, "_fifo", None)
-        if fifo:
-            depth += len(fifo)
-        return depth
-
     def credits_available(self, env: "Envelope") -> bool:
         """Would a send of ``env`` fit every live destination's window?"""
         window = self.config.credit_window
@@ -126,7 +113,7 @@ class FlowController:
         for task in env.dst_tasks:
             if system.machine_is_crashed(machine_of[task]):
                 continue  # fail-stop: dead destinations need no credit
-            if self._inqueue_depth(task) + self.in_flight[task] >= window:
+            if system.executors[task].queued + self.in_flight[task] >= window:
                 return False
         return True
 
@@ -170,7 +157,7 @@ class FlowController:
             self.in_flight[task] = count - 1
         self._last_activity[task] = self.sim.now
         self.metrics.note_queue_depth(
-            f"{executor.operator}.inqueue", self._inqueue_depth(task)
+            f"{executor.operator}.inqueue", executor.queued
         )
         self._wake(self._credit_waiters)
 

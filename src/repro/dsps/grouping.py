@@ -451,17 +451,6 @@ class _BoundLocality(Grouping):
 # ----------------------------------------------------------------------
 # load-adaptive grouping
 # ----------------------------------------------------------------------
-def inqueue_depth(executor) -> int:
-    """Live input-side depth of a bolt executor: event-resolved queue
-    level plus the batched-dispatch arithmetic FIFO (spouts report 0)."""
-    queue = getattr(executor, "inqueue", None)
-    depth = queue.level if queue is not None else 0
-    fifo = getattr(executor, "_fifo", None)
-    if fifo is not None:
-        depth += len(fifo)
-    return depth
-
-
 @register_strategy("load_adaptive")
 class LoadAdaptiveGrouping(Grouping):
     """Deterministic power-of-two-choices on live queue depth.
@@ -521,7 +510,7 @@ class _BoundLoadAdaptive(Grouping):
         placement = self.system.placement
         depths = []
         for task in (first, second):
-            depth = inqueue_depth(self.system.executors[task])
+            depth = self.system.executors[task].queued
             where = f"{placement.operator_of[task]}[{task}].inqueue"
             metrics.note_queue_depth(where, depth)
             depths.append((depth, metrics.queue_depth_hwm[where], task))

@@ -131,8 +131,8 @@ class CompletionTracker:
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         #: root id -> [created_at, outstanding task ids, latest execution
-        #: instant].  The explicit instant matters for batched dispatch:
-        #: executors flush completed work lazily, so calls may arrive out
+        #: instant].  The explicit instant matters for lazy sinks: they
+        #: flush completed work in batches, so calls may arrive out
         #: of completion-time order — "the last instance executed it" is
         #: the running *max* of execution times, not the last call.
         self._pending: Dict[int, list] = {}
@@ -227,7 +227,7 @@ class MetricsHub:
         #: admission gate
         self.credit_stall_s: Dict[str, float] = defaultdict(float)
         self._window: Optional[Tuple[float, Optional[float]]] = None
-        #: callbacks that realize lazily-batched work (batched-dispatch
+        #: callbacks that realize lazily-batched work (lazy sink
         #: executors register here); run by :meth:`flush` so window
         #: boundaries and end-of-run reporting see every completion that
         #: is logically due.
@@ -366,7 +366,7 @@ class MetricsHub:
         if self.in_window:
             self.sink_latencies[operator].append(latency_s)
 
-    # --- explicit-instant variants (batched-dispatch flush path) ------
+    # --- explicit-instant variants (lazy-sink flush path) -------------
     def on_processed_at(self, operator: str, t: float) -> None:
         if self.in_window_at(t):
             self.processed[operator] += 1

@@ -34,8 +34,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List
 
-from repro.dsps.grouping import inqueue_depth
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dsps.system import DspsSystem
 
@@ -127,7 +125,7 @@ class Rebalancer:
 
     # ------------------------------------------------------------------
     def _depth(self, task_id: int) -> int:
-        return inqueue_depth(self.system.executors[task_id])
+        return self.system.executors[task_id].queued
 
     def min_active(self, operator: str) -> int:
         """Never migrate below half the placed parallelism (and never to

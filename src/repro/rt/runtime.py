@@ -220,9 +220,9 @@ class AsyncRuntime(RuntimeBackend):
         tracer=None,
         recorder: Optional[Recorder] = None,
     ):
-        if config.delivery_mode in self.UNSUPPORTED_DELIVERY:
+        if config.delivery in self.UNSUPPORTED_DELIVERY:
             raise ValueError(
-                f"delivery={config.delivery_mode!r} is not supported on the "
+                f"delivery={config.delivery!r} is not supported on the "
                 "asyncio backend (it provides at_most_once and "
                 "at_least_once); use backend='sim'"
             )

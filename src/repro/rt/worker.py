@@ -75,9 +75,7 @@ def tuple_from_wire(wire: Dict[str, Any]) -> StreamTuple:
 
 
 class _InQueue:
-    """Bounded executor input queue exposing the DES ``Store`` surface
-    (``.level``) so :func:`repro.dsps.grouping.inqueue_depth` and the
-    load-adaptive grouping read rt executors unmodified."""
+    """Bounded executor input queue (``level`` = tuples waiting)."""
 
     def __init__(self, capacity: int):
         self._q: asyncio.Queue = asyncio.Queue(maxsize=capacity)
@@ -112,6 +110,8 @@ class RtExecutorBase:
     """Shared surface of rt executors (what bound groupings consume)."""
 
     is_spout = False
+    #: tuples waiting for the executor loop (spouts take no input)
+    queued = 0
 
     def __init__(self, host: "WorkerHost", task_id: int):
         self.host = host
@@ -151,6 +151,11 @@ class RtBoltExecutor(RtExecutorBase):
         self.bolt = self.spec.factory()
         self.inqueue = _InQueue(host.config.executor_queue_capacity)
         self.bolt.prepare(self.context())
+
+    @property
+    def queued(self) -> int:
+        """Tuples waiting in the input queue, not the one executing."""
+        return self.inqueue.level
 
     def rebuild(self) -> None:
         """Worker restart: a fresh operator instance (queued work and the
@@ -211,8 +216,6 @@ class RtSpoutExecutor(RtExecutorBase):
         super().__init__(host, task_id)
         self.spout = self.spec.factory()
         self.spout.prepare(self.context())
-        #: spouts never queue input; 0-depth for ``inqueue_depth``.
-        self.inqueue = _InQueue(1)
 
     async def run_paced(
         self,
@@ -612,7 +615,7 @@ class WorkerHost:
                 seen.add(wire["tuple_id"])
             metrics.multicast.on_receive(wire["tuple_id"], task)
             metrics.note_queue_depth(
-                f"{executor.operator}[{task}].inqueue", executor.inqueue.level
+                f"{executor.operator}[{task}].inqueue", executor.queued
             )
             await executor.inqueue.put((wire, ack_to))
 
@@ -681,6 +684,6 @@ class WorkerHost:
     @property
     def busy(self) -> bool:
         """Work still pending on this host (drain condition input)."""
-        if any(ex.inqueue.level > 0 for ex in self.executors.values()):
+        if any(ex.queued > 0 for ex in self.executors.values()):
             return True
         return self.acker is not None and bool(self.acker.pending)

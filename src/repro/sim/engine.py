@@ -37,7 +37,7 @@ _heappop = heapq.heappop
 class _Call:
     """A bare scheduled callback: the allocation-light timer lane.
 
-    Arithmetic fast paths (NIC ports, RNIC pipelines, batched executors)
+    Arithmetic fast paths (NIC ports, RNIC pipelines, executor servers)
     only ever need "run this function at time T" — no waiters, no value,
     no failure propagation.  A ``_Call`` carries just the function, so
     the scheduler skips the whole :class:`~repro.sim.events.Event`
@@ -94,10 +94,10 @@ class Simulator:
         """The attached :class:`~repro.trace.Tracer`, or ``None``.
 
         Every trace hook in the system guards on this being non-``None``,
-        so an untraced run costs one attribute check per hook.  Fast
-        paths that batch same-instant work (batched bolt dispatch) also
-        gate on it, so traced runs always take the fully event-resolved
-        code paths.
+        so an untraced run costs one attribute check per hook.  Lazy
+        sinks also gate on it: a traced run gives every executed tuple
+        its own completion event, so ``tuple.execute`` records carry
+        their instants.
         """
         return self._tracer
 

@@ -113,7 +113,7 @@ def _repairing(check):
     """A relay crash with failure detection: the controller excises the
     dead machine's endpoints, then reattaches them on recovery."""
     config = whale_full_config(adaptive=False).with_overrides(
-        at_least_once=True,
+        delivery="at_least_once",
         failure_detection=True,
         ack_timeout_s=0.1,
         ack_sweep_interval_s=0.02,

@@ -113,7 +113,7 @@ def test_clean_run_passes_strict(config_fn):
 
 def test_clean_fault_run_with_replay_passes_strict():
     config = whale_full_config(adaptive=False).with_overrides(
-        at_least_once=True,
+        delivery="at_least_once",
         failure_detection=True,
         ack_timeout_s=0.1,
         ack_sweep_interval_s=0.02,
@@ -186,6 +186,22 @@ def test_seeded_orphaned_tree_node_is_caught():
     tree._children[tree.parent(leaf)].remove(leaf)
     report = system.checker.check_state()
     assert any(v.invariant == "tree_structure" for v in report.violations)
+
+
+def test_seeded_overfull_bolt_backlog_is_caught():
+    system, _ = build_checked_system(
+        storm_config().with_overrides(flow=True), check="warn"
+    )
+    run_windowed(system, drain_s=0.1)
+    assert system.checker.check_state().ok
+    # Corrupt a working thread: its backlog outgrew the input bound.
+    ex = system.operator_executors("sink")[0]
+    ex.backlog.extend([None] * (system.config.executor_queue_capacity + 1))
+    ex.inqueue_hwm = len(ex.backlog)
+    report = system.checker.check_state()
+    assert {"queue_conservation", "bounded_queues"} <= {
+        v.invariant for v in report.violations
+    }
 
 
 def test_seeded_metrics_divergence_is_caught_at_finalize():

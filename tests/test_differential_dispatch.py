@@ -1,18 +1,17 @@
-"""Differential testing: batched dispatch vs. the event-resolved path.
+"""Differential testing: lazy sinks vs. the per-tuple working-thread server.
 
-The batched fast path (``SystemConfig.batched_dispatch``, see
-:class:`repro.dsps.executor.BoltExecutor`) replaces per-tuple queue
-hand-off and service-timeout events with closed-form FIFO arithmetic.
-It must never change *what* the system computes: the delivered tuple
-multiset, completion counts, drop counts, and per-tuple latency values
-have to match the slow path exactly — observable differences are
-limited to same-instant tie ordering, which multiset comparison is
-deliberately blind to.
-
-The slow path is reachable two ways, and both are covered here:
-``batched_dispatch=False`` in the config, and attaching a tracer or
-invariant checker (the gate in ``BoltExecutor._pick_mode`` refuses to
-batch under instrumentation so traces stay event-faithful).
+A bolt's working thread is one FIFO server (see
+:class:`repro.dsps.executor.BoltExecutor`), with one exception: in an
+untraced run with no reliability or flow layer, terminal sinks complete
+*lazily* — their completion instants are computed and realized in
+batches, with no engine event per tuple.  Attaching a tracer (even one
+that records nothing) or an invariant checker puts every bolt on the
+per-tuple server, the slower path.  Neither choice may change *what*
+the system computes: the executed tuple multiset, completion counts,
+drop counts and per-tuple latency values have to match exactly —
+observable differences are limited to same-instant tie ordering, which
+multiset comparison is deliberately blind to.  Test names call the
+lazy sinks the *batched* path and the per-tuple server the *slow* path.
 """
 
 from collections import Counter
@@ -22,27 +21,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import whale_full_config, whale_woc_rdma_config
-from repro.dsps import storm_config
-from tests._check_util import build_checked_system, run_windowed
+from repro.core import create_system, whale_full_config, whale_woc_rdma_config
+from repro.dsps import ShuffleGrouping, Topology, storm_config
+from repro.net import Cluster
+from repro.trace import MemoryTracer
+from tests._check_util import (
+    RecordingBolt,
+    SeqSpout,
+    build_checked_system,
+    finite_arrivals,
+    run_windowed,
+)
 
 END_TO_END = settings(max_examples=8, deadline=None)
 
 
-def _run(config, *, batched, check=None, parallelism=6, n_machines=3,
+def _noop_tracer():
+    return MemoryTracer(categories=())
+
+
+def _run(config, *, traced, check=None, parallelism=6, n_machines=3,
          n_tuples=60, seed=1):
     system, log = build_checked_system(
-        config.with_overrides(batched_dispatch=batched),
+        config,
         parallelism=parallelism, n_machines=n_machines,
         n_tuples=n_tuples, seed=seed, check=check,
+        tracer=_noop_tracer() if traced else None,
     )
     run_windowed(system, drain_s=0.5)
     return system, log
 
 
-def _modes(system):
+def _lazy(system):
     return {
-        ex._mode
+        ex._lazy
         for ex in system.executors.values()
         if type(ex).__name__ == "BoltExecutor"
     }
@@ -59,49 +71,54 @@ CONFIGS = [
 def test_batched_and_slow_paths_deliver_identical_multisets(
     name, make_config
 ):
-    fast_sys, fast_log = _run(make_config(), batched=True)
-    slow_sys, slow_log = _run(make_config(), batched=False)
-    # The gate actually took different branches.
-    assert "slow" not in _modes(fast_sys)
-    assert _modes(slow_sys) == {"slow"}
-    assert Counter(fast_log) == Counter(slow_log)
-    assert set(Counter(fast_log).values()) == {1}  # exactly-once
+    lazy_sys, lazy_log = _run(make_config(), traced=False)
+    served_sys, served_log = _run(make_config(), traced=True)
+    # The runs actually took different paths.
+    assert _lazy(lazy_sys) == {True}
+    assert _lazy(served_sys) == {False}
+    assert Counter(lazy_log) == Counter(served_log)
+    assert set(Counter(lazy_log).values()) == {1}  # exactly-once
+
+
+def _assert_same_results(a, b):
+    am, bm = a.metrics, b.metrics
+    assert am.completion.completed == bm.completion.completed
+    assert sum(am.dropped.values()) == sum(bm.dropped.values())
+    # Lazy completion instants are computed, not event-resolved — but
+    # they are the *same* instants, so the per-tuple latency multiset
+    # matches exactly (ordering may differ on ties).
+    assert set(am.sink_latencies) == set(bm.sink_latencies)
+    for op in am.sink_latencies:
+        assert sorted(am.sink_latencies[op]) == sorted(bm.sink_latencies[op])
 
 
 @pytest.mark.parametrize("name,make_config", CONFIGS)
 def test_batched_and_slow_paths_agree_on_metrics(name, make_config):
-    fast_sys, _ = _run(make_config(), batched=True)
-    slow_sys, _ = _run(make_config(), batched=False)
-    fm, sm = fast_sys.metrics, slow_sys.metrics
-    assert fm.completion.completed == sm.completion.completed
-    assert sum(fm.dropped.values()) == sum(sm.dropped.values())
-    # Completion instants are computed, not event-resolved, on the fast
-    # path — but they are the *same* instants, so the per-tuple latency
-    # multiset matches exactly (ordering may differ on ties).
-    assert set(fm.sink_latencies) == set(sm.sink_latencies)
-    for op in fm.sink_latencies:
-        assert sorted(fm.sink_latencies[op]) == sorted(sm.sink_latencies[op])
+    lazy_sys, _ = _run(make_config(), traced=False)
+    served_sys, _ = _run(make_config(), traced=True)
+    _assert_same_results(lazy_sys, served_sys)
 
 
 def test_checker_forces_event_resolved_path_and_multiset_matches():
-    fast_sys, fast_log = _run(whale_full_config(adaptive=False), batched=True)
+    lazy_sys, lazy_log = _run(whale_full_config(adaptive=False), traced=False)
     checked_sys, checked_log = _run(
-        whale_full_config(adaptive=False), batched=True, check="strict"
+        whale_full_config(adaptive=False), traced=False, check="strict"
     )
-    # batched_dispatch stayed True, but the checker's tracer tap trips
-    # the gate: instrumented runs take the event-resolved path.
-    assert _modes(checked_sys) == {"slow"}
+    # The checker's tracer tap puts every bolt on the per-tuple server.
+    assert _lazy(checked_sys) == {False}
     assert checked_sys.checker.finalize().ok
-    assert Counter(fast_log) == Counter(checked_log)
+    assert Counter(lazy_log) == Counter(checked_log)
+    _assert_same_results(lazy_sys, checked_sys)
 
 
 def test_batched_dispatch_is_deterministic_per_seed():
-    runs = [
-        _run(whale_full_config(adaptive=False), batched=True, seed=7)[1]
-        for _ in range(2)
-    ]
-    # Full ordered log, not just the multiset: same seed, same trace.
-    assert runs[0] == runs[1]
+    for traced in (False, True):
+        runs = [
+            _run(whale_full_config(adaptive=False), traced=traced, seed=7)[1]
+            for _ in range(2)
+        ]
+        # Full ordered log, not just the multiset: same seed, same trace.
+        assert runs[0] == runs[1]
 
 
 @END_TO_END
@@ -114,18 +131,65 @@ def test_batched_dispatch_is_deterministic_per_seed():
 def test_dispatch_equivalence_holds_for_fuzzed_scenarios(
     parallelism, n_machines, n_tuples, seed
 ):
-    _, fast_log = _run(
-        whale_full_config(adaptive=False), batched=True,
-        parallelism=parallelism, n_machines=n_machines,
-        n_tuples=n_tuples, seed=seed,
+    runs = [
+        _run(
+            whale_full_config(adaptive=False), traced=traced,
+            parallelism=parallelism, n_machines=n_machines,
+            n_tuples=n_tuples, seed=seed,
+        )
+        for traced in (False, True)
+    ]
+    (lazy_sys, lazy_log), (served_sys, served_log) = runs
+    assert Counter(lazy_log) == Counter(served_log)
+    assert set(Counter(lazy_log).values()) == {1}
+    _assert_same_results(lazy_sys, served_sys)
+
+
+# ----------------------------------------------------------------------
+# Queue-depth readers see one definition on both paths
+# ----------------------------------------------------------------------
+class _SlowSink(RecordingBolt):
+    base_service_s = 40e-6
+
+
+def _load_adaptive_run(traced: bool, seed: int = 1):
+    log: list = []
+    topo = Topology("load-adaptive")
+    topo.add_spout("src", SeqSpout)
+    topo.add_bolt(
+        "sink",
+        lambda: _SlowSink(log),
+        parallelism=6,
+        inputs={"src": ShuffleGrouping()},
+        terminal=True,
     )
-    _, slow_log = _run(
-        whale_full_config(adaptive=False), batched=False,
-        parallelism=parallelism, n_machines=n_machines,
-        n_tuples=n_tuples, seed=seed,
+    system = create_system(
+        topo,
+        storm_config().with_overrides(partitioning="load_adaptive"),
+        cluster=Cluster(3, 1, 16),
+        arrivals={"src": finite_arrivals(10e-6, 400)},
+        seed=seed,
+        tracer=_noop_tracer() if traced else None,
     )
-    assert Counter(fast_log) == Counter(slow_log)
-    assert set(Counter(fast_log).values()) == {1}
+    system.start()
+    system.sim.run(until=0.1)
+    return system, log
+
+
+def test_load_adaptive_routes_identically_traced_and_untraced():
+    """``load_adaptive`` probes the sinks' queued depth on every emit; the
+    depth excludes the tuple in service on both paths, so attaching a
+    tracer must not move a single tuple to a different task."""
+    lazy_sys, lazy_log = _load_adaptive_run(traced=False)
+    served_sys, served_log = _load_adaptive_run(traced=True)
+    assert _lazy(lazy_sys) == {True} and _lazy(served_sys) == {False}
+    assert len(lazy_log) == 400
+    # the sinks do back up, so the probe has depths to compare
+    assert max(ex.inqueue_hwm for ex in served_sys.operator_executors("sink")) > 0
+    assert sorted(lazy_log) == sorted(served_log)
+    assert (
+        lazy_sys.metrics.queue_depth_hwm == served_sys.metrics.queue_depth_hwm
+    )
 
 
 # ----------------------------------------------------------------------

@@ -323,7 +323,7 @@ def test_crash_halts_executors_until_recovery():
 
 def test_replay_completes_all_trees_under_injected_loss():
     system = _build_system(
-        at_least_once=True,
+        delivery="at_least_once",
         fabric_options={"loss_probability": 0.05, "loss_seed": 3},
     )
     system.start()
@@ -346,7 +346,7 @@ def test_replay_completes_all_trees_under_injected_loss():
 def test_replay_gives_up_after_retry_budget():
     schedule = FaultSchedule.single_crash(3, crash_at=0.02)  # never recovers
     system = _build_system(
-        at_least_once=True,
+        delivery="at_least_once",
         failure_detection=False,
         max_replays=2,
         fault_schedule=schedule,

@@ -120,7 +120,7 @@ def _burst_schedule(magnitude=10.0, at=0.05, duration=0.2):
 
 def _hwm(system):
     return max(
-        getattr(ex, "inqueue_hwm", 0) for ex in system.executors.values()
+        ex.inqueue_hwm for ex in system.executors.values()
     )
 
 

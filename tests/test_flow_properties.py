@@ -108,10 +108,9 @@ def test_flow_bounds_queues_and_conserves_messages(
     flow = system.flow
     metrics = system.metrics
     for ex in system.executors.values():
-        # credits cap what a sender may put in flight toward one inqueue
-        inqueue = getattr(ex, "inqueue", None)
-        if inqueue is not None:
-            assert getattr(ex, "inqueue_hwm", 0) <= inqueue.capacity
+        # no inqueue ever grew past its bound
+        assert 0 <= ex.queued <= ex.inqueue_hwm
+        assert ex.inqueue_hwm <= config.executor_queue_capacity
         q = getattr(ex, "transfer_queue", None)
         if q is not None:
             assert q.max_length <= q.capacity
